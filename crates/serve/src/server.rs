@@ -1046,7 +1046,14 @@ impl ServeEngine {
         // chaos layer.
         if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
             drop(engines);
-            return self.run_chaos(pool, requests, per_device, prerejected, &stolen_from);
+            return self.run_chaos(
+                pool,
+                requests,
+                per_device,
+                prerejected,
+                &stolen_from,
+                warm_snapshot,
+            );
         }
 
         let jobs: Vec<DeviceJob<'_>> = engines
@@ -1200,6 +1207,7 @@ impl ServeEngine {
         per_device: Vec<Vec<(usize, &ServeRequest)>>,
         mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>>,
         stolen_from: &HashMap<usize, usize>,
+        mut warm_snapshot: Option<Vec<HashSet<u64>>>,
     ) -> SimResult<ServeReport> {
         let fleet_len = self.fleet.len();
         let mut masters: Vec<TraceRecorder> = (0..fleet_len)
@@ -1254,15 +1262,22 @@ impl ServeEngine {
                         .iter()
                         .map(|(seq, request, _)| (*seq, request))
                         .collect();
-                    // Warmth is snapshotted sequentially here, per round, so
-                    // `cache_hit` stays schedule-independent (re-dispatched
-                    // models were compiled in an earlier round and report a
-                    // hit on every width).
-                    let warm: HashSet<u64> = assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect();
+                    // Round 0 reuses the prologue's snapshot, taken before
+                    // the overload planner compiled anything; later rounds
+                    // re-snapshot sequentially here, so `cache_hit` stays
+                    // schedule-independent (re-dispatched models were
+                    // compiled in an earlier round and report a hit on
+                    // every width).
+                    let warm: HashSet<u64> = match (first_round, &mut warm_snapshot) {
+                        (true, Some(sets)) => std::mem::take(&mut sets[index]),
+                        _ => assigned
+                            .iter()
+                            .map(|(_, request)| {
+                                ArtifactCache::key_for(&engine, &request.model, device)
+                            })
+                            .filter(|&key| self.cache.is_warm(key))
+                            .collect(),
+                    };
                     let stolen: HashMap<usize, usize> = assigned
                         .iter()
                         .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))

@@ -21,8 +21,8 @@ use flashmem_core::FlashMemConfig;
 use flashmem_gpu_sim::{DeviceSpec, SimError};
 use flashmem_serve::{
     ArrivalPattern, EdfPolicy, FifoPolicy, OverloadControl, PendingEntry, PolicyContext,
-    PreemptivePriorityPolicy, PriorityPolicy, SchedulePolicy, ServeEngine, ServeRequest,
-    WorkloadSpec,
+    PreemptivePriorityPolicy, PriorityPolicy, RecoveryControl, SchedulePolicy, ServeEngine,
+    ServeReport, ServeRequest, TraceConfig, TraceKind, WorkloadSpec,
 };
 
 /// A fleet of `size` devices cycling the evaluated presets, like the bench's
@@ -119,28 +119,59 @@ fn every_policy_kind_is_byte_identical_across_pool_widths() {
 /// report `cache_hit: true` everywhere. This is the determinism regression
 /// behind the prologue warmth snapshot — with the racy `compile()` flag, the
 /// cold run's hit/miss split depended on worker scheduling.
+///
+/// The second engine arms the steal planner, whose service-time predictions
+/// compile every model before any device runs, plus a recovery knob. The
+/// plans it compiled itself must still read as cold, in the outcome flag and
+/// in the trace's cache instants alike.
 #[test]
 fn cache_hit_reports_warmth_at_run_start_not_a_compile_race() {
     let requests = workload(16, 0xF1EE_7004);
-    let engine = ServeEngine::new(
-        vec![DeviceSpec::oneplus_12(); 4],
-        FlashMemConfig::memory_priority(),
-    );
+    let plain = || {
+        ServeEngine::new(
+            vec![DeviceSpec::oneplus_12(); 4],
+            FlashMemConfig::memory_priority(),
+        )
+    };
+    let engines = [
+        ("plain", plain()),
+        (
+            "steal + recovery",
+            plain()
+                .with_overload_control(OverloadControl::disabled().with_steal())
+                .with_recovery_control(RecoveryControl::disabled().with_retry_budget(1))
+                .with_trace(TraceConfig::enabled()),
+        ),
+    ];
     let pool = ThreadPool::with_threads(4);
-    let cold = engine
-        .run_on(&pool, &requests)
-        .expect("cold fleet run succeeds");
-    assert!(
-        cold.outcomes.iter().all(|o| !o.cache_hit),
-        "a cold cache has no warm plans, whichever device compiles first"
-    );
-    let warm = engine
-        .run_on(&pool, &requests)
-        .expect("warm fleet run succeeds");
-    assert!(
-        warm.outcomes.iter().all(|o| o.cache_hit),
-        "every plan was compiled (and so warm) before the second run began"
-    );
+    for (name, engine) in engines {
+        let cache_instants = |report: &ServeReport, kind: TraceKind| {
+            report.trace.as_ref().map_or(0, |trace| {
+                trace
+                    .processes
+                    .iter()
+                    .flat_map(|p| &p.events)
+                    .filter(|e| e.kind == kind)
+                    .count()
+            })
+        };
+        let cold = engine
+            .run_on(&pool, &requests)
+            .expect("cold fleet run succeeds");
+        assert!(
+            cold.outcomes.iter().all(|o| !o.cache_hit),
+            "{name}: a cold cache has no warm plans, whichever device compiles first"
+        );
+        assert_eq!(cache_instants(&cold, TraceKind::CacheHit), 0, "{name}");
+        let warm = engine
+            .run_on(&pool, &requests)
+            .expect("warm fleet run succeeds");
+        assert!(
+            warm.outcomes.iter().all(|o| o.cache_hit),
+            "{name}: every plan was compiled (and so warm) before the second run began"
+        );
+        assert_eq!(cache_instants(&warm, TraceKind::CacheMiss), 0, "{name}");
+    }
 }
 
 /// A policy that funnels every request onto device 0, leaving the rest of
