@@ -40,8 +40,8 @@
 //! arrival order); after that each device's step loop is a pure function of
 //! its assigned request list, stepped single-threaded inside one pool job.
 //! Outcomes merge sorted by submission `seq` and trace buffers merge in
-//! fleet order — the same commit-point discipline as
-//! [`ServeEngine::run_on`](crate::ServeEngine::run_on) — so the report is
+//! fleet order through the same fleet driver as
+//! [`ServeEngine::run_on`](crate::ServeEngine::run_on), so the report is
 //! byte-identical at every pool width.
 //!
 //! ## Cost memoization
@@ -55,28 +55,25 @@
 //! the token without re-stepping the stream. Prefill costs are memoized per
 //! model the same way.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use flashmem_core::cache::ArtifactCache;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{
-    FleetTrace, PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder,
-};
+use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::decode::replay_stream;
-use flashmem_gpu_sim::engine::{CommandStream, GpuSimulator, SimConfig};
+use flashmem_gpu_sim::engine::CommandStream;
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::{DecodeSession, DecodeStepPlan, DeviceSpec, SimError, StepCost};
+use flashmem_graph::ModelSpec;
 
-use crate::metrics::{
-    DecodeOutcome, DeviceReport, LatencySummary, PriorityLatency, RecoveryTallies, RequestOutcome,
-    ServeReport, SloSummary, TokenMetrics,
-};
+use crate::fleet::{Attempt, Device, DeviceLoop, DeviceRound, Fleet, Orphan};
+use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
-use crate::request::{FailureCause, ServeRequest};
+use crate::request::{DecodeParams, FailureCause, ServeRequest};
 use crate::server::lower_artifact;
 use flashmem_gpu_sim::{FaultKind, FaultPlan};
 
@@ -238,25 +235,11 @@ impl ActiveDecode {
     }
 }
 
-/// One device timeline's unit of parallel work, assembled by the sequential
-/// placement prologue.
-struct DecodeJob<'a> {
-    index: usize,
-    device: &'a DeviceSpec,
-    engine: FlashMem,
-    sim: GpuSimulator,
-    /// `(seq, request)` pairs placed here, sorted by `(arrival, seq)`.
-    assigned: Vec<(usize, &'a ServeRequest)>,
-    /// Plan-cache keys warm when the run began (prologue snapshot, so
-    /// `cache_hit` is identical at every pool width).
-    warm: HashSet<u64>,
-}
-
 /// Attempt state a re-dispatched decode request carries between rounds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct DecodeCarry {
-    /// The submission's true arrival (the per-round request clone's
-    /// `arrival_ms` is the re-dispatch ready floor, not the arrival).
+    /// The submission's true arrival (the re-dispatched copy's `arrival_ms`
+    /// is the ready floor, not the arrival).
     original_arrival_ms: f64,
     /// Tokens emitted by earlier attempts: the re-prefill resume position.
     resumed_tokens: u32,
@@ -269,67 +252,97 @@ struct DecodeCarry {
 }
 
 impl DecodeCarry {
-    fn fresh(request: &ServeRequest) -> Self {
-        DecodeCarry {
-            original_arrival_ms: request.arrival_ms,
-            resumed_tokens: 0,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
-        }
-    }
-}
-
-/// Per-round chaos state handed to `run_device` alongside its job.
-struct DecodeChaosJob {
-    carry: HashMap<usize, DecodeCarry>,
-}
-
-impl DecodeChaosJob {
     /// Stamp a freshly admitted entry with its carried attempt state.
-    fn apply(&self, seq: usize, entry: &mut ActiveDecode) {
-        if let Some(carry) = self.carry.get(&seq) {
-            entry.arrival_ms = carry.original_arrival_ms;
-            entry.resumed_tokens = carry.resumed_tokens;
-            entry.retries = carry.retries;
-            entry.hops = carry.hops;
-            entry.failed_over = carry.failed_over;
-        }
+    fn apply(&self, entry: &mut ActiveDecode) {
+        entry.arrival_ms = self.original_arrival_ms;
+        entry.resumed_tokens = self.resumed_tokens;
+        entry.retries = self.retries;
+        entry.hops = self.hops;
+        entry.failed_over = self.failed_over;
     }
 }
 
-/// A request attempt an injected fault killed, surfaced to the sequential
-/// re-dispatch planner. Carries the fully built typed-failed outcome so the
-/// planner can commit it unchanged when no recovery budget remains.
-struct DecodeOrphan {
-    outcome: RequestOutcome,
-    /// Cumulative tokens emitted across all attempts (the resume position).
-    emitted: u32,
-    retries: u32,
-    hops: u32,
-    kind: FaultKind,
+/// One device's share of a decode round.
+type DecodeWork<'a> = Vec<Attempt<'a, DecodeCarry>>;
+
+/// What a decode orphan resumes from: the cumulative tokens emitted across
+/// all attempts, its re-prefill position.
+type DecodeResume = u32;
+
+/// One [`DecodeEngine`] run over a request list, as the fleet driver steps
+/// it.
+struct DecodeLoop<'a> {
+    engine: &'a DecodeEngine,
+    requests: &'a [ServeRequest],
 }
 
-/// Everything one device's round produces.
-struct DecodeRun {
-    outcomes: Vec<RequestOutcome>,
-    report: DeviceReport,
-    trace: TraceRecorder,
-    orphans: Vec<DecodeOrphan>,
-    /// The device was lost (injected device-loss) during this round.
-    lost: bool,
+impl<'a> DeviceLoop for DecodeLoop<'a> {
+    type Work = DecodeWork<'a>;
+    type Resume = DecodeResume;
+
+    fn is_idle(work: &DecodeWork<'a>) -> bool {
+        work.is_empty()
+    }
+
+    fn models<'w>(work: &'w DecodeWork<'a>) -> impl Iterator<Item = &'w ModelSpec> {
+        work.iter().map(|a| &a.request.model)
+    }
+
+    fn run_device(
+        &self,
+        device: &Device<'_>,
+        warm: &HashSet<u64>,
+        work: DecodeWork<'a>,
+    ) -> SimResult<DeviceRound<DecodeResume>> {
+        self.engine.run_device(device, warm, work)
+    }
+
+    /// Re-dispatch every orphan through [`Fleet::redispatch`] (retry with
+    /// backoff on the same device, or failover onto a surviving one),
+    /// re-prefilling from the orphan's token position.
+    fn plan(
+        &self,
+        fleet: &mut Fleet<'_>,
+        _included: &[usize],
+        orphans: Vec<Orphan<DecodeResume>>,
+    ) -> Vec<DecodeWork<'a>> {
+        let mut work: Vec<DecodeWork<'a>> = (0..fleet.len()).map(|_| Vec::new()).collect();
+        for orphan in orphans {
+            let Some((to, orphan)) = fleet.redispatch(orphan, |_, _| true) else {
+                continue;
+            };
+            let seq = orphan.outcome.seq;
+            let resumed_tokens = orphan.resume;
+            let mut request = self.requests[seq].clone();
+            let params = request.decode.expect("validated in the prologue");
+            request.decode = Some(DecodeParams {
+                prompt_tokens: params.prompt_tokens + resumed_tokens,
+                output_tokens: params.output_tokens - resumed_tokens,
+            });
+            request.arrival_ms = to.ready_ms;
+            work[to.dest].push(Attempt {
+                seq,
+                request: Cow::Owned(request),
+                carry: Some(DecodeCarry {
+                    original_arrival_ms: orphan.outcome.arrival_ms,
+                    resumed_tokens,
+                    retries: to.retries,
+                    hops: to.hops,
+                    failed_over: to.failed_over,
+                }),
+            });
+        }
+        work
+    }
 }
 
 /// Route a finished (or fault-killed) entry: injected faults become orphans
 /// for the planner; everything else commits its outcome row here.
-#[allow(clippy::too_many_arguments)]
 fn push_entry(
     entry: ActiveDecode,
     outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<DecodeOrphan>,
-    chaos: bool,
-    device: &DeviceSpec,
-    device_index: usize,
+    orphans: &mut Vec<Orphan<DecodeResume>>,
+    device: &Device<'_>,
     completion_ms: f64,
     peak_memory_mb: f64,
 ) {
@@ -340,27 +353,21 @@ fn push_entry(
     let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
     let retries = entry.retries;
     let hops = entry.hops;
-    let outcome = entry.into_outcome(&device.name, device_index, completion_ms, peak_memory_mb);
+    let outcome = entry.into_outcome(
+        &device.spec.name,
+        device.index,
+        completion_ms,
+        peak_memory_mb,
+    );
     match fault {
-        Some(kind) if chaos => orphans.push(DecodeOrphan {
+        Some(kind) => orphans.push(Orphan {
             outcome,
-            emitted,
+            kind,
             retries,
             hops,
-            kind,
+            resume: emitted,
         }),
-        _ => outcomes.push(outcome),
-    }
-}
-
-/// Render a caught panic payload for [`SimError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
+        None => outcomes.push(outcome),
     }
 }
 
@@ -397,8 +404,9 @@ impl DecodeEngine {
     }
 
     /// Arm a deterministic [`FaultPlan`] (builder style). Empty by default;
-    /// with an empty plan and recovery disabled the engine takes the exact
-    /// legacy single-round path, byte for byte.
+    /// with an empty plan a run is a single round of the fleet driver
+    /// (`crates/serve/src/fleet.rs`), and faults that fire make the driver
+    /// plan further rounds of re-dispatched work.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -534,368 +542,65 @@ impl DecodeEngine {
                 .expect("arrival times are finite")
                 .then(a.cmp(&b))
         });
-        let mut per_device: Vec<Vec<(usize, &ServeRequest)>> = vec![Vec::new(); fleet_len];
+        let fleet = Fleet::new(
+            &self.fleet,
+            &self.config,
+            &self.cache,
+            self.trace,
+            self.recovery,
+        );
+        let warm = fleet.warmth(requests);
+        let mut work: Vec<DecodeWork<'_>> = (0..fleet_len).map(|_| Vec::new()).collect();
         for (i, &seq) in order.iter().enumerate() {
-            per_device[i % fleet_len].push((seq, &requests[seq]));
+            work[i % fleet_len].push(Attempt::first(seq, &requests[seq]));
         }
-
-        if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
-            return self.run_chaos(pool, requests, per_device);
-        }
-
-        let jobs: Vec<DecodeJob<'_>> = self
-            .fleet
-            .iter()
-            .enumerate()
-            .map(|(index, device)| {
-                let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                let assigned = std::mem::take(&mut per_device[index]);
-                let warm: HashSet<u64> = assigned
-                    .iter()
-                    .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                    .filter(|&key| self.cache.is_warm(key))
-                    .collect();
-                DecodeJob {
-                    index,
-                    device,
-                    engine,
-                    sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                    assigned,
-                    warm,
-                }
-            })
-            .collect();
-
-        // ---- parallel device stepping ----
-        let device_results = pool.try_parallel_map(jobs, |job| {
-            catch_unwind(AssertUnwindSafe(|| self.run_device(job, None))).unwrap_or_else(
-                |payload| {
-                    Err(SimError::WorkerPanic {
-                        message: panic_message(payload),
-                    })
-                },
-            )
-        })?;
-
-        // ---- ordered merge: the commit point ----
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices = Vec::with_capacity(fleet_len);
-        let mut recorders = Vec::with_capacity(fleet_len);
-        for run in device_results {
-            let DecodeRun {
-                outcomes: mut device_outcomes,
-                report,
-                trace,
-                ..
-            } = run;
-            outcomes.append(&mut device_outcomes);
-            devices.push(report);
-            recorders.push(trace);
-        }
-        outcomes.sort_by_key(|o| o.seq);
-        Ok(self.assemble_report(outcomes, devices, recorders, RecoveryTallies::default()))
-    }
-
-    /// The multi-round chaos driver: round 0 is the normal placement; every
-    /// later round re-dispatches the previous round's fault orphans (retry
-    /// with backoff on the same device, or failover onto a surviving one,
-    /// re-prefilling from the orphan's token position). All re-dispatch
-    /// decisions are taken here, sequentially, between rounds — the same
-    /// commit-point discipline as placement — so the report stays
-    /// byte-identical at every pool width.
-    fn run_chaos(
-        &self,
-        pool: &ThreadPool,
-        requests: &[ServeRequest],
-        per_device: Vec<Vec<(usize, &ServeRequest)>>,
-    ) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices: Vec<Option<DeviceReport>> = vec![None; fleet_len];
-        let mut masters: Vec<TraceRecorder> = (0..fleet_len)
-            .map(|_| TraceRecorder::new(self.trace))
-            .collect();
-        let mut tallies = RecoveryTallies::default();
-        let mut alive: Vec<bool> = vec![true; fleet_len];
-        let mut cum_makespan: Vec<f64> = vec![0.0; fleet_len];
-
-        // Owned per-round work units (re-dispatched attempts carry adjusted
-        // decode params and an arrival floor).
-        let mut work: Vec<Vec<(usize, ServeRequest, DecodeCarry)>> = per_device
-            .into_iter()
-            .map(|assigned| {
-                assigned
-                    .into_iter()
-                    .map(|(seq, request)| (seq, request.clone(), DecodeCarry::fresh(request)))
-                    .collect()
-            })
-            .collect();
-        let mut first_round = true;
-
-        while first_round || work.iter().any(|w| !w.is_empty()) {
-            // Round 0 runs every device (so the fleet report covers idle
-            // devices exactly like the legacy path); later rounds only the
-            // devices with re-dispatched work.
-            let included: Vec<usize> = (0..fleet_len)
-                .filter(|&d| first_round || !work[d].is_empty())
-                .collect();
-            let round_work = std::mem::replace(&mut work, vec![Vec::new(); fleet_len]);
-            let jobs: Vec<(DecodeJob<'_>, DecodeChaosJob)> = included
-                .iter()
-                .map(|&index| {
-                    let device = &self.fleet[index];
-                    let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                    let assigned: Vec<(usize, &ServeRequest)> = round_work[index]
-                        .iter()
-                        .map(|(seq, request, _)| (*seq, request))
-                        .collect();
-                    let warm: HashSet<u64> = assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect();
-                    let carry: HashMap<usize, DecodeCarry> = round_work[index]
-                        .iter()
-                        .map(|(seq, _, carry)| (*seq, carry.clone()))
-                        .collect();
-                    (
-                        DecodeJob {
-                            index,
-                            device,
-                            engine,
-                            sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                            assigned,
-                            warm,
-                        },
-                        DecodeChaosJob { carry },
-                    )
-                })
-                .collect();
-
-            let device_results = pool.try_parallel_map(jobs, |(job, chaos)| {
-                catch_unwind(AssertUnwindSafe(|| self.run_device(job, Some(&chaos))))
-                    .unwrap_or_else(|payload| {
-                        Err(SimError::WorkerPanic {
-                            message: panic_message(payload),
-                        })
-                    })
-            })?;
-
-            // ---- ordered merge + sequential re-dispatch planning ----
-            let mut orphans: Vec<DecodeOrphan> = Vec::new();
-            for (&index, run) in included.iter().zip(device_results) {
-                let DecodeRun {
-                    outcomes: mut device_outcomes,
-                    report,
-                    trace,
-                    orphans: mut device_orphans,
-                    lost,
-                } = run;
-                outcomes.append(&mut device_outcomes);
-                cum_makespan[index] = cum_makespan[index].max(report.makespan_ms);
-                match &mut devices[index] {
-                    Some(existing) => existing.absorb_round(report),
-                    slot => *slot = Some(report),
-                }
-                masters[index].absorb(trace);
-                if lost {
-                    // A lost device is permanently out of rotation; when
-                    // recovery is armed, count it as a quarantine decision
-                    // like the serve engine does.
-                    if alive[index] && self.recovery.any_enabled() {
-                        tallies.quarantines += 1;
-                    }
-                    alive[index] = false;
-                }
-                orphans.append(&mut device_orphans);
-            }
-            orphans.sort_by_key(|o| o.outcome.seq);
-
-            for orphan in orphans {
-                let seq = orphan.outcome.seq;
-                let from = orphan.outcome.device_index;
-                let failed_at = orphan.outcome.completion_ms;
-                let can_retry = orphan.kind != FaultKind::DeviceLoss
-                    && orphan.retries < self.recovery.retry_budget;
-                let healthiest =
-                    (0..fleet_len)
-                        .filter(|&d| alive[d] && d != from)
-                        .min_by(|&a, &b| {
-                            cum_makespan[a]
-                                .partial_cmp(&cum_makespan[b])
-                                .expect("makespans are finite")
-                                .then(a.cmp(&b))
-                        });
-                let (dest, carry) = if can_retry {
-                    // Same-device retry (unless the device died under it).
-                    let dest = if alive[from] { Some(from) } else { healthiest };
-                    (
-                        dest,
-                        DecodeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            resumed_tokens: orphan.emitted,
-                            retries: orphan.retries + 1,
-                            hops: orphan.hops,
-                            failed_over: orphan.outcome.failed_over
-                                || dest.is_some_and(|d| d != from),
-                        },
-                    )
-                } else if self.recovery.failover && orphan.hops < fleet_len as u32 {
-                    (
-                        healthiest,
-                        DecodeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            resumed_tokens: orphan.emitted,
-                            retries: orphan.retries,
-                            hops: orphan.hops + 1,
-                            failed_over: true,
-                        },
-                    )
-                } else {
-                    (None, DecodeCarry::fresh(&requests[seq]))
-                };
-                let Some(dest) = dest else {
-                    // No budget left or no surviving device: the typed-failed
-                    // outcome the device already built is final.
-                    outcomes.push(orphan.outcome);
-                    continue;
-                };
-                let attempts = carry.retries + carry.hops;
-                let ready = (failed_at + self.recovery.backoff_ms * f64::from(attempts))
-                    .max(cum_makespan[dest]);
-                let mut request = requests[seq].clone();
-                let params = request.decode.expect("validated in the prologue");
-                request.decode = Some(crate::request::DecodeParams {
-                    prompt_tokens: params.prompt_tokens + carry.resumed_tokens,
-                    output_tokens: params.output_tokens - carry.resumed_tokens,
-                });
-                request.arrival_ms = ready;
-                if masters[dest].enabled() {
-                    let (kind, verb) = if can_retry {
-                        (TraceKind::Retry, "retry")
-                    } else {
-                        (TraceKind::Failover, "failover")
-                    };
-                    masters[dest].instant(
-                        kind,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "{verb} {} attempt {} from device #{from}",
-                            request.model.abbr,
-                            attempts + 1
-                        ),
-                        ready,
-                    );
-                }
-                if can_retry {
-                    tallies.retries += 1;
-                } else {
-                    tallies.failovers += 1;
-                }
-                work[dest].push((seq, request, carry));
-            }
-            first_round = false;
-        }
-
-        outcomes.sort_by_key(|o| o.seq);
-        let devices: Vec<DeviceReport> = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| {
-                report.unwrap_or_else(|| DeviceReport::empty(&self.fleet[index].name))
-            })
-            .collect();
-        let report = self.assemble_report(outcomes, devices, masters, tallies);
-        report.assert_disposition();
-        Ok(report)
-    }
-
-    /// Assemble the final [`ServeReport`] from merged outcomes, per-device
-    /// reports and trace recorders — shared by the legacy and chaos paths.
-    fn assemble_report(
-        &self,
-        outcomes: Vec<RequestOutcome>,
-        devices: Vec<DeviceReport>,
-        recorders: Vec<TraceRecorder>,
-        recovery: RecoveryTallies,
-    ) -> ServeReport {
-        let trace = if self.trace.enabled {
-            Some(FleetTrace {
-                processes: self
-                    .fleet
-                    .iter()
-                    .zip(recorders)
-                    .enumerate()
-                    .map(|(index, (device, recorder))| {
-                        recorder.into_process_trace(&format!("{} #{index}", device.name))
-                    })
-                    .collect(),
-            })
+        let policy = if self.batch.max_batch == 1 {
+            "decode-one-shot".to_string()
         } else {
-            None
+            format!("decode-continuous(b={})", self.batch.max_batch)
         };
-
-        let latencies: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.succeeded())
-            .map(|o| o.latency_ms)
-            .collect();
-        let makespan = devices
-            .iter()
-            .map(|d| d.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let throughput_rps = if makespan > 0.0 {
-            latencies.len() as f64 * 1000.0 / makespan
-        } else {
-            0.0
+        let device_loop = DecodeLoop {
+            engine: self,
+            requests,
         };
-        let tokens = TokenMetrics::from_outcomes(&outcomes, makespan);
-        let latency = LatencySummary::from_latencies(&latencies);
-        let per_priority = PriorityLatency::from_outcomes(&outcomes);
-        let slo = SloSummary::from_outcomes(&outcomes);
-        ServeReport {
-            policy: if self.batch.max_batch == 1 {
-                "decode-one-shot".to_string()
-            } else {
-                format!("decode-continuous(b={})", self.batch.max_batch)
-            },
-            outcomes,
-            devices,
-            latency,
-            per_priority,
-            slo,
-            preemptions: 0,
-            throughput_rps,
-            ttft: tokens.ttft,
-            itl: tokens.itl,
-            decode_tokens: tokens.decode_tokens,
-            tokens_per_s: tokens.tokens_per_s,
-            cache: self.cache.stats(),
-            recovery,
-            trace,
-        }
+        fleet.run(pool, &device_loop, work, warm, policy)
     }
 
-    /// Run one device's step loop to completion. Single-threaded per device;
-    /// a pure function of the assigned request list (plus the per-round
-    /// chaos state), so the result is identical at every pool width.
+    /// Run one device's step loop for one round of the fleet driver.
+    /// Single-threaded per device; a pure function of the round's work (the
+    /// requests placed here plus the recovery state re-dispatched attempts
+    /// carry), so the result is identical at every pool width.
     #[allow(clippy::too_many_lines)]
     fn run_device(
         &self,
-        job: DecodeJob<'_>,
-        chaos: Option<&DecodeChaosJob>,
-    ) -> SimResult<DecodeRun> {
-        let DecodeJob {
+        dev: &Device<'_>,
+        warm: &HashSet<u64>,
+        work: DecodeWork<'_>,
+    ) -> SimResult<DeviceRound<DecodeResume>> {
+        let Device {
             index: device_index,
-            device,
+            spec: device,
             engine,
             sim,
-            assigned,
-            warm,
-        } = job;
+        } = dev;
+        let device_index = *device_index;
         let mut trace = TraceRecorder::new(self.trace);
         let mut tracker = MemoryTracker::for_device(device);
-        let mut waiting = assigned;
+        let carry: HashMap<usize, DecodeCarry> = work
+            .iter()
+            .filter_map(|a| a.carry.map(|c| (a.seq, c)))
+            .collect();
+        // A fresh entry for an admitted request, stamped with the recovery
+        // state of a re-dispatched attempt.
+        let admit = |seq: usize, request: &ServeRequest, start_ms: f64| {
+            let mut entry = self.admit_entry(seq, request, warm, engine, device, start_ms);
+            if let Some(carry) = carry.get(&seq) {
+                carry.apply(&mut entry);
+            }
+            entry
+        };
+        let mut waiting: Vec<(usize, &ServeRequest)> =
+            work.iter().map(|a| (a.seq, a.request.as_ref())).collect();
         waiting.sort_by(|a, b| {
             a.1.arrival_ms
                 .partial_cmp(&b.1.arrival_ms)
@@ -910,12 +615,9 @@ impl DecodeEngine {
 
         let mut active: Vec<ActiveDecode> = Vec::new();
         let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut orphans: Vec<DecodeOrphan> = Vec::new();
-        let lost_at = if chaos.is_some() {
-            self.fault_plan.device_loss_ms(device_index)
-        } else {
-            None
-        };
+        let mut orphans: Vec<Orphan<DecodeResume>> = Vec::new();
+        let lost_at = self.fault_plan.device_loss_ms(device_index);
+        let draws_faults = !self.fault_plan.is_empty();
         let mut lost = false;
         let mut widx = 0usize;
         let mut now = 0.0_f64;
@@ -953,40 +655,19 @@ impl DecodeEngine {
                         });
                         let _ = entry.session.release(&mut tracker, now);
                         let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(
-                            entry,
-                            &mut outcomes,
-                            &mut orphans,
-                            true,
-                            device,
-                            device_index,
-                            now,
-                            peak,
-                        );
+                        push_entry(entry, &mut outcomes, &mut orphans, dev, now, peak);
                     }
                     while widx < waiting.len() {
                         let (seq, request) = waiting[widx];
                         widx += 1;
                         let at = now.max(request.arrival_ms);
-                        let mut entry = self.admit_entry(seq, request, &warm, &engine, device, at);
-                        if let Some(cj) = chaos {
-                            cj.apply(seq, &mut entry);
-                        }
+                        let mut entry = admit(seq, request, at);
                         entry.error = Some(SimError::Fault {
                             kind: FaultKind::DeviceLoss,
                             at_ms: at,
                         });
                         let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(
-                            entry,
-                            &mut outcomes,
-                            &mut orphans,
-                            true,
-                            device,
-                            device_index,
-                            at,
-                            peak,
-                        );
+                        push_entry(entry, &mut outcomes, &mut orphans, dev, at, peak);
                     }
                     break;
                 }
@@ -1022,19 +703,15 @@ impl DecodeEngine {
                         outcomes.push(budget_failure_outcome(
                             seq,
                             request,
-                            device,
-                            device_index,
+                            dev,
                             self.batch.token_budget,
                         ));
                         continue;
                     }
                     widx += 1;
                     let abbr = request.model.abbr.clone();
-                    if let Err(error) = self.ensure_plans(&mut plans, &engine, request, device) {
-                        let mut entry = self.admit_entry(seq, request, &warm, &engine, device, now);
-                        if let Some(cj) = chaos {
-                            cj.apply(seq, &mut entry);
-                        }
+                    if let Err(error) = self.ensure_plans(&mut plans, engine, request, device) {
+                        let mut entry = admit(seq, request, now);
                         entry.error = Some(error);
                         outcomes.push(entry.into_outcome(
                             &device.name,
@@ -1051,22 +728,14 @@ impl DecodeEngine {
                     let cost = match prefill_costs.get(&abbr) {
                         Some(&cost) => cost,
                         None => {
-                            match replay_stream(
-                                &model_plans.prefill_stream,
-                                &sim,
-                                &mut tracker,
-                                now,
-                            ) {
+                            match replay_stream(&model_plans.prefill_stream, sim, &mut tracker, now)
+                            {
                                 Ok(cost) => {
                                     prefill_costs.insert(abbr.clone(), cost);
                                     cost
                                 }
                                 Err(error) => {
-                                    let mut entry =
-                                        self.admit_entry(seq, request, &warm, &engine, device, now);
-                                    if let Some(cj) = chaos {
-                                        cj.apply(seq, &mut entry);
-                                    }
+                                    let mut entry = admit(seq, request, now);
                                     entry.error = Some(error);
                                     outcomes.push(entry.into_outcome(
                                         &device.name,
@@ -1083,14 +752,13 @@ impl DecodeEngine {
                     let end = start + cost.makespan_ms;
                     transfer_busy += cost.transfer_busy_ms;
                     compute_busy += cost.compute_busy_ms;
-                    let mut entry = self.admit_entry(seq, request, &warm, &engine, device, start);
+                    let mut entry = admit(seq, request, start);
                     entry.session = DecodeSession::new(
                         params.prompt_tokens,
                         params.output_tokens,
                         model_plans.kv_bytes_per_token,
                     );
-                    if let Some(cj) = chaos {
-                        cj.apply(seq, &mut entry);
+                    if draws_faults {
                         // The prefill pass itself may take an injected fault,
                         // keyed by the resume position so a retry redraws.
                         let attempt = entry.retries + entry.hops;
@@ -1160,11 +828,9 @@ impl DecodeEngine {
                 &mut active,
                 &mut outcomes,
                 &mut orphans,
-                chaos.is_some(),
                 &mut tracker,
                 &mut trace,
-                device,
-                device_index,
+                dev,
                 now,
             )?;
             if active.is_empty() {
@@ -1185,7 +851,7 @@ impl DecodeEngine {
                     Some(&cost) => cost,
                     None => {
                         let plan = &plans.get(&abbr).expect("active implies compiled").step_plan;
-                        match plan.replay(&sim, &mut tracker, batch_size, now) {
+                        match plan.replay(sim, &mut tracker, batch_size, now) {
                             Ok(cost) => {
                                 step_costs.insert(key, cost);
                                 cost
@@ -1220,7 +886,7 @@ impl DecodeEngine {
                 let share = 1.0 / batch_size as f64;
                 for &i in &members {
                     let entry = &mut active[i];
-                    if chaos.is_some() {
+                    if draws_faults {
                         // The step's kernel may take an injected fault for
                         // this sequence, keyed by its global token position
                         // so firing is schedule- and batch-independent.
@@ -1265,11 +931,9 @@ impl DecodeEngine {
                 &mut active,
                 &mut outcomes,
                 &mut orphans,
-                chaos.is_some(),
                 &mut tracker,
                 &mut trace,
-                device,
-                device_index,
+                dev,
                 now,
             )?;
         }
@@ -1297,7 +961,7 @@ impl DecodeEngine {
             queue_depth_high_water: high_water,
             memory_trace: tracker.trace().clone(),
         };
-        Ok(DecodeRun {
+        Ok(DeviceRound {
             outcomes,
             report,
             trace,
@@ -1370,19 +1034,16 @@ impl DecodeEngine {
 }
 
 /// Remove finished (or failed) sessions from the batch at boundary `now`,
-/// releasing their KV residency and emitting their outcome rows. With
-/// `chaos` set, fault-killed entries go to `orphans` for the re-dispatch
-/// planner instead of committing a final outcome.
-#[allow(clippy::too_many_arguments)]
+/// releasing their KV residency and emitting their outcome rows;
+/// fault-killed entries go to `orphans` for the re-dispatch planner instead
+/// of committing a final outcome.
 fn retire_finished(
     active: &mut Vec<ActiveDecode>,
     outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<DecodeOrphan>,
-    chaos: bool,
+    orphans: &mut Vec<Orphan<DecodeResume>>,
     tracker: &mut MemoryTracker,
     trace: &mut TraceRecorder,
-    device: &DeviceSpec,
-    device_index: usize,
+    device: &Device<'_>,
     now: f64,
 ) -> SimResult<()> {
     let mut i = 0;
@@ -1403,16 +1064,7 @@ fn retire_finished(
                 );
             }
             let peak = tracker.peak_bytes() as f64 / MIB;
-            push_entry(
-                entry,
-                outcomes,
-                orphans,
-                chaos,
-                device,
-                device_index,
-                now,
-                peak,
-            );
+            push_entry(entry, outcomes, orphans, device, now, peak);
         } else {
             i += 1;
         }
@@ -1426,47 +1078,27 @@ fn retire_finished(
 fn budget_failure_outcome(
     seq: usize,
     request: &ServeRequest,
-    device: &DeviceSpec,
-    device_index: usize,
+    device: &Device<'_>,
     token_budget: u64,
 ) -> RequestOutcome {
     let params = request.decode.expect("validated in the prologue");
-    RequestOutcome {
+    let error = SimError::InvalidParameter {
+        message: format!(
+            "request needs {} context tokens but the engine's token budget is {}",
+            params.max_context_tokens(),
+            token_budget
+        ),
+    };
+    let at_ms = request.arrival_ms;
+    RequestOutcome::unstarted(
         seq,
-        model: request.model.abbr.clone(),
-        tenant: request.tenant.clone(),
-        priority: request.priority,
-        device: device.name.clone(),
-        device_index,
-        arrival_ms: request.arrival_ms,
-        start_ms: request.arrival_ms,
-        completion_ms: request.arrival_ms,
-        queue_wait_ms: 0.0,
-        latency_ms: 0.0,
-        deadline_ms: request.deadline_ms,
-        admission_laxity_ms: None,
-        resident_estimate_bytes: 0,
-        preemptions: 0,
-        suspended_ms: 0.0,
-        resume_penalty_ms: 0.0,
-        cache_hit: false,
-        peak_memory_mb: 0.0,
-        phases: PhaseBreakdown::attribute(0.0, 0.0, 0.0, 0.0, &[], &[]),
-        rejected: None,
-        stolen_from: None,
-        failure: Some(FailureCause::Execution),
-        retries: 0,
-        failed_over: false,
-        error: Some(SimError::InvalidParameter {
-            message: format!(
-                "request needs {} context tokens but the engine's token budget is {}",
-                params.max_context_tokens(),
-                token_budget
-            ),
-        }),
-        report: None,
-        decode: None,
-    }
+        request,
+        &device.spec.name,
+        device.index,
+        at_ms,
+        at_ms,
+        Some(error),
+    )
 }
 
 #[cfg(test)]

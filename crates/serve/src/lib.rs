@@ -16,10 +16,13 @@
 //!
 //! Device timelines are independent after placement, so one
 //! [`ServeEngine::run`] steps its whole fleet **in parallel** on the
-//! process-wide work-stealing pool (`flashmem_core::pool`): placement is a
-//! sequential prologue, per-device stepping fans out as pool jobs sharing
-//! one plan cache, and the merged report is re-assembled in deterministic
-//! order — byte-identical to the serial loop, which
+//! process-wide work-stealing pool (`flashmem_core::pool`). Both engines
+//! share one fleet driver (`crates/serve/src/fleet.rs`): placement is a
+//! sequential prologue, then each round fans per-device stepping out as
+//! pool jobs sharing one plan cache, re-assembles the merged report in
+//! deterministic order, and lets a sequential planner re-dispatch what
+//! injected faults knocked out. A fault-free run is a single round. The
+//! report is byte-identical to the serial loop, which
 //! [`ServeEngine::run_on`] with a width-1 pool still provides for
 //! bisection. This is what makes 100–1000-device fleet scenarios affordable
 //! in one run (see the `fleet_scale` bench).
@@ -144,7 +147,7 @@
 //! width and scheduling order. Unprotected, each fault becomes a typed
 //! failure ([`FailureCause`]) on the request's outcome. Arming
 //! [`ServeEngine::with_recovery_control`](server::ServeEngine::with_recovery_control)
-//! (or the decode-side equivalent) turns the run into rounds with a
+//! (or the decode-side equivalent) gives the fleet driver's rounds a
 //! **sequential recovery planner** between them: per-request retries under a
 //! budget with simulated-time backoff, failover of in-flight work onto the
 //! least-loaded survivor (resuming a
@@ -163,6 +166,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod decode;
+mod fleet;
 pub mod metrics;
 pub mod multi_model;
 pub mod policy;

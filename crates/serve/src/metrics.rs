@@ -25,7 +25,7 @@ use flashmem_core::ExecutionReport;
 use flashmem_gpu_sim::trace::MemoryTrace;
 use flashmem_gpu_sim::SimError;
 
-use crate::request::{FailureCause, RejectCause};
+use crate::request::{FailureCause, RejectCause, ServeRequest};
 
 /// Token-level result of a generative request served through the decode
 /// path (prefill pass + per-token decode steps). `None` on one-shot
@@ -156,6 +156,51 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// The outcome row of a request that never ran on `device`: it ends at
+    /// `at_ms` after waiting since `arrival_ms`, failed with `error` if
+    /// any, and carries the request's own deadline.
+    pub(crate) fn unstarted(
+        seq: usize,
+        request: &ServeRequest,
+        device: &str,
+        device_index: usize,
+        arrival_ms: f64,
+        at_ms: f64,
+        error: Option<SimError>,
+    ) -> Self {
+        let wait_ms = (at_ms - arrival_ms).max(0.0);
+        RequestOutcome {
+            seq,
+            model: request.model.abbr.clone(),
+            tenant: request.tenant.clone(),
+            priority: request.priority,
+            device: device.to_string(),
+            device_index,
+            arrival_ms,
+            start_ms: at_ms,
+            completion_ms: at_ms,
+            queue_wait_ms: wait_ms,
+            latency_ms: wait_ms,
+            deadline_ms: request.deadline_ms,
+            admission_laxity_ms: None,
+            resident_estimate_bytes: 0,
+            preemptions: 0,
+            suspended_ms: 0.0,
+            resume_penalty_ms: 0.0,
+            cache_hit: false,
+            peak_memory_mb: 0.0,
+            phases: PhaseBreakdown::attribute(wait_ms, wait_ms, 0.0, 0.0, &[], &[]),
+            rejected: None,
+            stolen_from: None,
+            failure: error.as_ref().map(FailureCause::from_error),
+            retries: 0,
+            failed_over: false,
+            error,
+            report: None,
+            decode: None,
+        }
+    }
+
     /// True when the request completed.
     pub fn succeeded(&self) -> bool {
         self.error.is_none() && self.rejected.is_none()
@@ -263,25 +308,7 @@ pub struct DeviceReport {
 }
 
 impl DeviceReport {
-    /// An all-zero report for a device that never ran any work (a chaos
-    /// round that excluded it, or a fleet slot that stayed idle).
-    pub(crate) fn empty(device: &str) -> Self {
-        DeviceReport {
-            device: device.to_string(),
-            requests: 0,
-            completed: 0,
-            makespan_ms: 0.0,
-            transfer_busy_ms: 0.0,
-            compute_busy_ms: 0.0,
-            transfer_busy_fraction: 0.0,
-            compute_busy_fraction: 0.0,
-            peak_memory_mb: 0.0,
-            queue_depth_high_water: 0,
-            memory_trace: MemoryTrace::new(),
-        }
-    }
-
-    /// Fold one chaos round's report into this accumulated one: counts and
+    /// Fold one recovery round's report into this accumulated one: counts and
     /// busy time sum, high-water marks take the max, busy fractions are
     /// recomputed against the merged makespan, and the memory traces stitch
     /// (round timelines never overlap — a re-dispatch ready floor is never

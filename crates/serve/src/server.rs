@@ -17,17 +17,16 @@
 //!
 //! Device timelines share nothing but the plan cache, so
 //! [`ServeEngine::run`] fans them out on the process-wide work-stealing
-//! [`ThreadPool`] in three strictly ordered
-//! stages:
+//! [`ThreadPool`] through the fleet driver (`crates/serve/src/fleet.rs`),
+//! in strictly ordered stages:
 //!
 //! 1. **Placement prologue (sequential).** [`SchedulePolicy::place`] assigns
 //!    every request to a device on the caller thread, in submission order —
 //!    placement may depend on global request order, so it never races.
-//!    Each device's assignment becomes one `DeviceJob` (private) with its runtime
-//!    ([`FlashMem`]) and simulator ([`GpuSimulator`]) constructed once here,
-//!    not once per request.
-//! 2. **Parallel device stepping.** Each `DeviceJob` runs `run_device` as
-//!    one pool job. Workers share the engine's [`ArtifactCache`], whose
+//!    Each device's runtime ([`FlashMem`]) and simulator
+//!    ([`GpuSimulator`]) are constructed once per run, not once per request.
+//! 2. **Parallel device stepping.** Each device with work runs `run_device`
+//!    as one pool job. Workers share the engine's [`ArtifactCache`], whose
 //!    in-flight compile dedup guarantees N devices serving one tenant config
 //!    solve LC-OPG exactly once with schedule-independent hit/miss counters.
 //!    A job that panics (a buggy policy) is caught on its worker and
@@ -37,6 +36,10 @@
 //!    fleet-index slots and per-request outcomes are re-sorted by submission
 //!    `seq`, so the merged [`ServeReport`] is byte-identical to the serial
 //!    loop's no matter how the workers interleaved.
+//! 4. **Recovery planning (sequential).** Attempts injected faults knocked
+//!    out are retried, failed over or finalized on the caller thread, and
+//!    the re-dispatched work runs as the next round of stages 2–4. A
+//!    fault-free run has nothing to re-dispatch, so it is exactly one round.
 //!
 //! `run` uses [`pool::global`] (width from `--threads N` /
 //! `FLASHMEM_THREADS`); [`ServeEngine::run_on`] takes an explicit pool for
@@ -78,17 +81,15 @@
 //! stepping rule keeps near time order; tiny reorderings across concurrent
 //! streams are an accepted modelling artifact.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use flashmem_core::cache::{ArtifactCache, Fnv1a};
 use flashmem_core::engine::CompiledArtifact;
 use flashmem_core::executor::RUNTIME_OVERHEAD_BYTES;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{
-    FleetTrace, PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder,
-};
+use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig, KernelRewriter, StreamingExecutor};
 use flashmem_gpu_sim::engine::{
     CommandStream, GpuSimulator, PreemptionCost, QueueClocks, QueueKind, SimConfig, StreamStepper,
@@ -101,10 +102,8 @@ use flashmem_gpu_sim::{DeviceSpec, FaultKind, FaultPlan, SimError};
 use flashmem_graph::ModelSpec;
 use flashmem_profiler::LoweringOptions;
 
-use crate::metrics::{
-    DeviceReport, LatencySummary, PriorityLatency, RecoveryTallies, RequestOutcome, ServeReport,
-    SloSummary, TokenMetrics,
-};
+use crate::fleet::{Attempt, Device, DeviceLoop, DeviceRound, Fleet, Health, Orphan};
+use crate::metrics::{DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
@@ -264,9 +263,9 @@ fn arrived_candidates(
 
 /// Everything the loop knows about an admitted request except its execution
 /// state — shared between the in-flight and suspended representations.
-/// `Clone` exists for the chaos path, which snapshots the meta of work
-/// stranded by a device loss so the recovery planner can either resume it
-/// elsewhere or finalize its typed-failure outcome.
+/// `Clone` exists for device loss, which snapshots the meta of stranded work
+/// so the recovery planner can either resume it elsewhere or finalize its
+/// typed-failure outcome.
 #[derive(Clone)]
 struct FlightMeta {
     seq: usize,
@@ -290,11 +289,14 @@ struct FlightMeta {
     /// Home device index when the steal planner re-placed this request.
     stolen_from: Option<usize>,
     /// Injected-fault retries this request has already consumed (carried
-    /// across chaos rounds; 0 outside the chaos path).
+    /// across recovery rounds; 0 on a first attempt).
     retries: u32,
     /// True when the recovery planner re-placed this request off a lost or
-    /// quarantined device (false outside the chaos path).
+    /// quarantined device.
     failed_over: bool,
+    /// Attempt ordinal fed into the fault plan's per-command draw key, so a
+    /// retried command is re-drawn instead of deterministically re-faulting.
+    attempt: u32,
     trace_start: usize,
     order: usize,
     preemptions: usize,
@@ -404,49 +406,7 @@ struct Suspended {
     ready_ms: f64,
 }
 
-/// One device timeline's unit of parallel work: everything `run_device`
-/// needs, assembled by the sequential placement prologue so the hot loop on
-/// the worker never constructs per-device state. The runtime and simulator
-/// are built once per device here and reused across all of the device's
-/// requests (and every command boundary of the preemption phase).
-struct DeviceJob<'a> {
-    /// Index of the device in the fleet (also the report's slot).
-    index: usize,
-    device: &'a DeviceSpec,
-    /// The FlashMem runtime the device's compiles go through.
-    engine: FlashMem,
-    /// The cost model the device's command streams are stepped against.
-    sim: GpuSimulator,
-    /// `(seq, request)` pairs placed on this device, in submission order.
-    assigned: Vec<(usize, &'a ServeRequest)>,
-    /// Requests admission control rejected in the sequential prologue, with
-    /// their (provably negative) best-case laxity. Their outcomes and trace
-    /// instants are emitted by this device so the ordered merge stays the
-    /// only commit point.
-    prerejected: Vec<(usize, &'a ServeRequest, f64)>,
-    /// For requests the steal planner re-placed here: `seq → home device`.
-    stolen: HashMap<usize, usize>,
-    /// Plan-cache keys (of this device's assigned models) that were already
-    /// compiled when the run began. Snapshotted in the sequential prologue so
-    /// each outcome's `cache_hit` flag is identical at every pool width —
-    /// the racy alternative, reporting whether `ArtifactCache::compile`
-    /// happened to find the key warm mid-run, would record which worker won
-    /// the compile race rather than anything about the workload.
-    warm: HashSet<u64>,
-}
-
-/// Render a caught panic payload for [`SimError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Per-request state the chaos driver carries across re-dispatch rounds.
+/// Per-request state a re-dispatched attempt carries across recovery rounds.
 /// Re-dispatched requests are cloned with their arrival bumped to the
 /// recovery planner's ready floor; the carry remembers the *original*
 /// arrival (so latency and SLO accounting measure from true submission) and
@@ -458,24 +418,6 @@ struct ServeCarry {
     hops: u32,
     failed_over: bool,
     stolen_from: Option<usize>,
-}
-
-impl ServeCarry {
-    fn fresh(request: &ServeRequest, stolen_from: Option<usize>) -> Self {
-        ServeCarry {
-            original_arrival_ms: request.arrival_ms,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
-            stolen_from,
-        }
-    }
-
-    /// Attempt ordinal fed into the fault plan's per-command draw key, so a
-    /// retried command is re-drawn instead of deterministically re-faulting.
-    fn attempt(&self) -> u32 {
-        self.retries + self.hops
-    }
 }
 
 /// A suspension the recovery planner failed over onto this device: seeded
@@ -491,55 +433,31 @@ struct SeededSuspension {
     ready_ms: f64,
 }
 
-/// The chaos side-channel of one `DeviceJob`: per-request carries and
-/// failed-over suspensions, assembled sequentially by the round planner.
-struct ServeChaosJob {
-    carry: HashMap<usize, ServeCarry>,
+/// One device's share of a serve round.
+#[derive(Default)]
+struct ServeWork<'a> {
+    /// Requests placed on this device, in submission order.
+    assigned: Vec<Attempt<'a, ServeCarry>>,
+    /// Requests admission control rejected in the run prologue, with their
+    /// (provably negative) best-case laxity. Their outcomes and trace
+    /// instants are emitted by this device so the ordered merge stays the
+    /// only commit point.
+    prerejected: Vec<(usize, &'a ServeRequest, f64)>,
+    /// Suspensions the recovery planner failed over onto this device.
     seeds: Vec<SeededSuspension>,
 }
 
-/// A request an injected fault knocked out of a chaos round, awaiting a
-/// sequential recovery decision (retry, failover, or final typed failure).
-struct ServeOrphan {
-    /// The typed-failure outcome of this attempt — final if the planner
-    /// gives up, discarded if the request is re-dispatched.
-    outcome: RequestOutcome,
-    /// What fired.
-    kind: FaultKind,
-    /// Recovery counters *before* this round's decision.
-    retries: u32,
-    hops: u32,
-    /// In-flight state snapshotted at a device loss, resumable on a
-    /// same-spec sibling.
-    resume: Option<(FlightMeta, Suspension)>,
-}
+/// What a device-loss orphan resumes from: its in-flight state, when
+/// failover is armed, resumable on a same-spec sibling.
+type ServeResume = Option<(FlightMeta, Suspension)>;
 
-/// Everything one `run_device` round hands back to the merge point.
-struct DeviceRun {
-    outcomes: Vec<RequestOutcome>,
-    report: DeviceReport,
-    trace: TraceRecorder,
-    orphans: Vec<ServeOrphan>,
-    /// True when the fault plan's device loss fired this round: the device
-    /// is gone for every later round.
-    lost: bool,
-    /// Transient injected faults (kernel + OOM-spike) this round, for the
-    /// quarantine circuit breaker.
-    faults: u32,
-}
-
-/// Per-device health as tracked by the sequential recovery planner.
-#[derive(Clone, Copy, PartialEq)]
-enum Health {
-    Healthy,
-    /// Device loss fired: permanent.
-    Lost,
-    /// Circuit breaker open since `since_ms`; `probing` marks the round a
-    /// probe placement is in flight.
-    Quarantined {
-        since_ms: f64,
-        probing: bool,
-    },
+/// One [`ServeEngine`] run over a request list, as the fleet driver steps
+/// it.
+struct ServeLoop<'a> {
+    engine: &'a ServeEngine,
+    requests: &'a [ServeRequest],
+    /// For requests the steal planner re-placed: `seq → home device`.
+    stolen_from: HashMap<usize, usize>,
 }
 
 /// A fleet-wide tenant cap: `bytes` of estimated resident memory across the
@@ -591,9 +509,9 @@ impl ServeEngine {
     /// Inject deterministic faults from a seeded [`FaultPlan`] (builder
     /// style). The plan keys every per-command draw by `(device, seq,
     /// command, attempt)`, so which commands fault is independent of the
-    /// scheduling policy, pool width and retry timing. An empty plan (the
-    /// default) keeps the engine on the fault-free fast path, byte-identical
-    /// to a build without fault injection.
+    /// scheduling policy, pool width and retry timing. With an empty plan
+    /// (the default) and recovery off, a run is a single fault-free round of
+    /// the fleet driver, byte-identical to a build without fault injection.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -609,10 +527,11 @@ impl ServeEngine {
     /// ([`RecoveryControl::disabled`]), in which case the engine's behaviour
     /// is bit-identical to one without recovery.
     ///
-    /// All recovery decisions are planned sequentially at round boundaries
-    /// of the fan-out pipeline, so reports stay byte-identical at any pool
-    /// width — including which requests retried, where failovers landed and
-    /// when devices were quarantined or probed.
+    /// All recovery decisions are planned sequentially between the rounds
+    /// of the fleet driver (`crates/serve/src/fleet.rs`), so reports stay
+    /// byte-identical at any pool width — including which requests retried,
+    /// where failovers landed and when devices were quarantined or probed.
+    /// A run in which no fault fires is still a single round.
     pub fn with_recovery_control(mut self, recovery: RecoveryControl) -> Self {
         self.recovery = recovery;
         self
@@ -689,7 +608,7 @@ impl ServeEngine {
     /// Give every request of `tenant` a default SLO deadline: a relative
     /// latency budget in milliseconds, used when the request does not carry
     /// its own [`deadline_ms`](ServeRequest::deadline_ms). Deadline-carrying
-    /// requests feed the report's [`SloSummary`].
+    /// requests feed the report's [`SloSummary`](crate::SloSummary).
     pub fn with_tenant_slo(mut self, tenant: impl Into<String>, deadline_ms: f64) -> Self {
         self.tenant_slos.insert(tenant.into(), deadline_ms.max(0.0));
         self
@@ -755,35 +674,21 @@ impl ServeEngine {
         admission_laxity_ms: Option<f64>,
         stolen_from: Option<usize>,
     ) -> RequestOutcome {
+        let at_ms = request.arrival_ms;
         RequestOutcome {
-            seq,
-            model: request.model.abbr.clone(),
-            tenant: request.tenant.clone(),
-            priority: request.priority,
-            device: device.name.clone(),
-            device_index,
-            arrival_ms: request.arrival_ms,
-            start_ms: request.arrival_ms,
-            completion_ms: request.arrival_ms,
-            queue_wait_ms: 0.0,
-            latency_ms: 0.0,
             deadline_ms: self.effective_deadline(request),
             admission_laxity_ms,
-            resident_estimate_bytes: 0,
-            preemptions: 0,
-            suspended_ms: 0.0,
-            resume_penalty_ms: 0.0,
-            cache_hit: false,
-            peak_memory_mb: 0.0,
-            phases: PhaseBreakdown::attribute(0.0, 0.0, 0.0, 0.0, &[], &[]),
             rejected: Some(cause),
             stolen_from,
-            failure: None,
-            retries: 0,
-            failed_over: false,
-            error: None,
-            report: None,
-            decode: None,
+            ..RequestOutcome::unstarted(
+                seq,
+                request,
+                &device.name,
+                device_index,
+                at_ms,
+                at_ms,
+                None,
+            )
         }
     }
 
@@ -885,6 +790,14 @@ impl ServeEngine {
             });
         }
 
+        let fleet = Fleet::new(
+            &self.fleet,
+            &self.config,
+            &self.cache,
+            self.trace,
+            self.recovery,
+        );
+
         // ---- placement: the sequential prologue ----
         let mut placement: Vec<usize> = Vec::with_capacity(requests.len());
         for (seq, request) in requests.iter().enumerate() {
@@ -901,31 +814,10 @@ impl ServeEngine {
             };
             placement.push(device);
         }
-        let engines: Vec<FlashMem> = self
-            .fleet
-            .iter()
-            .map(|device| FlashMem::new(device.clone()).with_config(self.config.clone()))
-            .collect();
         // Warmth is snapshotted *before* the overload prologue compiles
         // anything, so `cache_hit` keeps meaning "warm when the run began"
         // even when admission control / steal planning populate the cache.
-        let warm_snapshot: Option<Vec<HashSet<u64>>> = if self.overload.uses_estimates() {
-            Some(
-                engines
-                    .iter()
-                    .zip(&self.fleet)
-                    .map(|(engine, device)| {
-                        requests
-                            .iter()
-                            .map(|request| ArtifactCache::key_for(engine, &request.model, device))
-                            .filter(|&key| self.cache.is_warm(key))
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let warm = fleet.warmth(requests);
 
         // ---- overload pipeline (sequential): admission control + steal ----
         // Both stages run on the caller thread in submission order — the
@@ -935,13 +827,16 @@ impl ServeEngine {
         // compile through the shared cache, sequentially, so the cache
         // hit/miss counters stay schedule-independent too.
         let mut rejected: HashSet<usize> = HashSet::new();
-        let mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>> = vec![Vec::new(); fleet_len];
+        let mut work: Vec<ServeWork<'_>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
         let mut stolen_from: HashMap<usize, usize> = HashMap::new();
         if self.overload.uses_estimates() {
             let mut memo: HashMap<(String, usize), f64> = HashMap::new();
             let mut predict = |model: &ModelSpec, d: usize| -> f64 {
                 *memo.entry((model.abbr.clone(), d)).or_insert_with(|| {
-                    match self.cache.compile(&engines[d], model, &self.fleet[d]) {
+                    match self
+                        .cache
+                        .compile(&fleet.devices[d].engine, model, &self.fleet[d])
+                    {
                         Ok((artifact, _)) => {
                             predicted_service_ms(&artifact, model, &self.fleet[d], &self.config)
                         }
@@ -969,7 +864,9 @@ impl ServeEngine {
                     // on every shard before any queueing.
                     if best.is_finite() && best > budget + 1e-9 {
                         rejected.insert(seq);
-                        prerejected[placement[seq]].push((seq, request, budget - best));
+                        work[placement[seq]]
+                            .prerejected
+                            .push((seq, request, budget - best));
                     }
                 }
             }
@@ -1032,586 +929,77 @@ impl ServeEngine {
             }
         }
 
-        let mut per_device: Vec<Vec<(usize, &ServeRequest)>> = vec![Vec::new(); fleet_len];
         for (seq, request) in requests.iter().enumerate() {
             if !rejected.contains(&seq) {
-                per_device[placement[seq]].push((seq, request));
+                work[placement[seq]]
+                    .assigned
+                    .push(Attempt::first(seq, request));
             }
         }
-
-        // A non-empty fault plan or any recovery knob routes through the
-        // chaos pipeline (rounds of fan-out with sequential recovery
-        // planning in between). Fault-free, recovery-off runs never reach
-        // it, keeping the fast path byte-identical to a build without the
-        // chaos layer.
-        if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
-            drop(engines);
-            return self.run_chaos(
-                pool,
-                requests,
-                per_device,
-                prerejected,
-                &stolen_from,
-                warm_snapshot,
-            );
-        }
-
-        let jobs: Vec<DeviceJob<'_>> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(index, engine)| {
-                let device = &self.fleet[index];
-                let assigned = std::mem::take(&mut per_device[index]);
-                let stolen: HashMap<usize, usize> = assigned
-                    .iter()
-                    .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))
-                    .collect();
-                let warm = match &warm_snapshot {
-                    Some(sets) => sets[index].clone(),
-                    None => assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect(),
-                };
-                DeviceJob {
-                    index,
-                    device,
-                    engine,
-                    sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                    assigned,
-                    prerejected: std::mem::take(&mut prerejected[index]),
-                    stolen,
-                    warm,
-                }
-            })
-            .collect();
-
-        // ---- parallel device stepping ----
-        let device_results = pool.try_parallel_map(jobs, |job| {
-            catch_unwind(AssertUnwindSafe(|| self.run_device(job, None))).unwrap_or_else(
-                |payload| {
-                    Err(SimError::WorkerPanic {
-                        message: panic_message(payload),
-                    })
-                },
-            )
-        })?;
-
-        // ---- ordered merge: the commit point ----
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices = Vec::with_capacity(fleet_len);
-        let mut recorders = Vec::with_capacity(fleet_len);
-        for run in device_results {
-            let mut run = run;
-            outcomes.append(&mut run.outcomes);
-            devices.push(run.report);
-            recorders.push(run.trace);
-        }
-        outcomes.sort_by_key(|o| o.seq);
-        Ok(self.assemble_report(outcomes, devices, recorders, RecoveryTallies::default()))
-    }
-
-    /// Assemble the final [`ServeReport`] from merged outcomes, per-device
-    /// reports and trace recorders (in fleet order) — shared by the fast
-    /// path and the chaos pipeline.
-    fn assemble_report(
-        &self,
-        outcomes: Vec<RequestOutcome>,
-        devices: Vec<DeviceReport>,
-        recorders: Vec<TraceRecorder>,
-        recovery: RecoveryTallies,
-    ) -> ServeReport {
-        // Trace buffers merge in fleet order — the same deterministic commit
-        // discipline as the outcome sort, so the trace is byte-identical at
-        // every pool width.
-        let trace = if self.trace.enabled {
-            Some(FleetTrace {
-                processes: self
-                    .fleet
-                    .iter()
-                    .zip(recorders)
-                    .enumerate()
-                    .map(|(index, (device, recorder))| {
-                        recorder.into_process_trace(&format!("{} #{index}", device.name))
-                    })
-                    .collect(),
-            })
-        } else {
-            None
+        let device_loop = ServeLoop {
+            engine: self,
+            requests,
+            stolen_from,
         };
-
-        let latencies: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.succeeded())
-            .map(|o| o.latency_ms)
-            .collect();
-        let latency = LatencySummary::from_latencies(&latencies);
-        let per_priority = PriorityLatency::from_outcomes(&outcomes);
-        let slo = SloSummary::from_outcomes(&outcomes);
-        let preemptions = outcomes.iter().map(|o| o.preemptions).sum();
-        let makespan = devices
-            .iter()
-            .map(|d| d.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let throughput_rps = if makespan > 0.0 {
-            latencies.len() as f64 * 1000.0 / makespan
-        } else {
-            0.0
-        };
-        let tokens = TokenMetrics::from_outcomes(&outcomes, makespan);
-        ServeReport {
-            policy: self.policy.name().to_string(),
-            outcomes,
-            devices,
-            latency,
-            per_priority,
-            slo,
-            preemptions,
-            throughput_rps,
-            ttft: tokens.ttft,
-            itl: tokens.itl,
-            decode_tokens: tokens.decode_tokens,
-            tokens_per_s: tokens.tokens_per_s,
-            recovery,
-            cache: self.cache.stats(),
-            trace,
-        }
+        fleet.run(
+            pool,
+            &device_loop,
+            work,
+            warm,
+            self.policy.name().to_string(),
+        )
     }
 
-    /// The chaos pipeline: rounds of the ordinary parallel fan-out with a
-    /// **sequential recovery planner** between rounds.
+    /// Run one device's timeline for one round of the fleet driver, usually
+    /// on a pool worker: everything it touches is either owned by `work`,
+    /// local to this call, or a thread-safe shared structure (the plan
+    /// cache). The returned [`TraceRecorder`] is this device's private event
+    /// buffer, filled single-threaded here and merged (deterministically, in
+    /// fleet order) at the round's commit point.
     ///
-    /// Each round steps the devices that have work (in parallel, exactly
-    /// like the fast path); injected faults knock requests out of their
-    /// round as [`ServeOrphan`]s instead of final outcomes. At the round's
-    /// ordered merge the planner — on the caller thread, in submission
-    /// order — decides each orphan's fate: same-device **retry** while the
-    /// retry budget lasts, **failover** onto the least-loaded surviving
-    /// device (resuming a carried [`Suspension`] when a same-spec sibling
-    /// exists, restarting from scratch otherwise), or a final typed
-    /// failure. It also drives the circuit breaker: devices crossing the
-    /// fault threshold are **quarantined** (no placements), and after the
-    /// probe delay a single **probe** request tests the water — a clean
-    /// probe reinstates the device, a faulting one re-quarantines it.
-    ///
-    /// Rounds are barriers and every decision is planned sequentially, so
-    /// the report is byte-identical at any pool width. Termination is
-    /// structural: retries are bounded per request by the budget, failovers
-    /// by the fleet size, and probes only move work that already exists.
+    /// `warm` holds the plan-cache keys compiled when the round began;
+    /// `stolen` maps each request the steal planner re-placed to its home
+    /// device. Attempts an injected fault knocks out come back as orphans
+    /// for the recovery planner instead of final outcomes.
     #[allow(clippy::too_many_lines)]
-    fn run_chaos(
+    fn run_device(
         &self,
-        pool: &ThreadPool,
-        requests: &[ServeRequest],
-        per_device: Vec<Vec<(usize, &ServeRequest)>>,
-        mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>>,
-        stolen_from: &HashMap<usize, usize>,
-        mut warm_snapshot: Option<Vec<HashSet<u64>>>,
-    ) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        let mut masters: Vec<TraceRecorder> = (0..fleet_len)
-            .map(|_| TraceRecorder::new(self.trace))
-            .collect();
-        let mut devices: Vec<Option<DeviceReport>> = (0..fleet_len).map(|_| None).collect();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut tallies = RecoveryTallies::default();
-        let mut cum_makespan = vec![0.0_f64; fleet_len];
-        let mut health = vec![Health::Healthy; fleet_len];
-        let mut fault_counts = vec![0_u32; fleet_len];
-
-        // Round-0 work is the prologue's placement, as owned request clones
-        // (later rounds re-clone with arrivals bumped to the backoff floor).
-        let mut work: Vec<Vec<(usize, ServeRequest, ServeCarry)>> = per_device
-            .into_iter()
-            .map(|assigned| {
-                assigned
-                    .into_iter()
-                    .map(|(seq, request)| {
-                        let carry = ServeCarry::fresh(request, stolen_from.get(&seq).copied());
-                        (seq, request.clone(), carry)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut seeds: Vec<Vec<SeededSuspension>> = (0..fleet_len).map(|_| Vec::new()).collect();
-        let mut first_round = true;
-
-        while first_round
-            || work.iter().any(|w| !w.is_empty())
-            || seeds.iter().any(|s| !s.is_empty())
-        {
-            let included: Vec<usize> = if first_round {
-                (0..fleet_len).collect()
-            } else {
-                (0..fleet_len)
-                    .filter(|&d| !work[d].is_empty() || !seeds[d].is_empty())
-                    .collect()
-            };
-            let round_work =
-                std::mem::replace(&mut work, (0..fleet_len).map(|_| Vec::new()).collect());
-            let mut round_seeds =
-                std::mem::replace(&mut seeds, (0..fleet_len).map(|_| Vec::new()).collect());
-
-            let jobs: Vec<(DeviceJob<'_>, ServeChaosJob)> = included
-                .iter()
-                .map(|&index| {
-                    let device = &self.fleet[index];
-                    let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                    let assigned: Vec<(usize, &ServeRequest)> = round_work[index]
-                        .iter()
-                        .map(|(seq, request, _)| (*seq, request))
-                        .collect();
-                    // Round 0 reuses the prologue's snapshot, taken before
-                    // the overload planner compiled anything; later rounds
-                    // re-snapshot sequentially here, so `cache_hit` stays
-                    // schedule-independent (re-dispatched models were
-                    // compiled in an earlier round and report a hit on
-                    // every width).
-                    let warm: HashSet<u64> = match (first_round, &mut warm_snapshot) {
-                        (true, Some(sets)) => std::mem::take(&mut sets[index]),
-                        _ => assigned
-                            .iter()
-                            .map(|(_, request)| {
-                                ArtifactCache::key_for(&engine, &request.model, device)
-                            })
-                            .filter(|&key| self.cache.is_warm(key))
-                            .collect(),
-                    };
-                    let stolen: HashMap<usize, usize> = assigned
-                        .iter()
-                        .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))
-                        .collect();
-                    let carry: HashMap<usize, ServeCarry> = round_work[index]
-                        .iter()
-                        .map(|(seq, _, carry)| (*seq, *carry))
-                        .collect();
-                    (
-                        DeviceJob {
-                            index,
-                            device,
-                            engine,
-                            sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                            assigned,
-                            prerejected: std::mem::take(&mut prerejected[index]),
-                            stolen,
-                            warm,
-                        },
-                        ServeChaosJob {
-                            carry,
-                            seeds: std::mem::take(&mut round_seeds[index]),
-                        },
-                    )
-                })
-                .collect();
-
-            let device_results = pool.try_parallel_map(jobs, |(job, chaos)| {
-                catch_unwind(AssertUnwindSafe(|| self.run_device(job, Some(chaos)))).unwrap_or_else(
-                    |payload| {
-                        Err(SimError::WorkerPanic {
-                            message: panic_message(payload),
-                        })
-                    },
-                )
-            })?;
-
-            // ---- ordered merge ----
-            let mut orphans: Vec<ServeOrphan> = Vec::new();
-            let mut round_faults = vec![0_u32; fleet_len];
-            for (&index, run) in included.iter().zip(device_results) {
-                let DeviceRun {
-                    outcomes: mut device_outcomes,
-                    report,
-                    trace,
-                    orphans: mut device_orphans,
-                    lost,
-                    faults,
-                } = run;
-                outcomes.append(&mut device_outcomes);
-                cum_makespan[index] = cum_makespan[index].max(report.makespan_ms);
-                match &mut devices[index] {
-                    Some(existing) => existing.absorb_round(report),
-                    slot => *slot = Some(report),
-                }
-                masters[index].absorb(trace);
-                round_faults[index] = faults;
-                fault_counts[index] += faults;
-                if lost && health[index] != Health::Lost {
-                    // A lost device is permanently quarantined — but the
-                    // tally records recovery *decisions*, so an unprotected
-                    // run (fault plan only, recovery off) reports all zeros.
-                    health[index] = Health::Lost;
-                    if self.recovery.any_enabled() {
-                        tallies.quarantines += 1;
-                    }
-                }
-                orphans.append(&mut device_orphans);
-            }
-
-            // ---- sequential recovery planning ----
-            // Probe verdicts first: a clean probe closes the breaker, a
-            // faulting one re-opens it.
-            for &index in &included {
-                if let Health::Quarantined { probing: true, .. } = health[index] {
-                    if round_faults[index] == 0 {
-                        health[index] = Health::Healthy;
-                        fault_counts[index] = 0;
-                    } else {
-                        health[index] = Health::Quarantined {
-                            since_ms: cum_makespan[index],
-                            probing: false,
-                        };
-                        tallies.quarantines += 1;
-                        if masters[index].enabled() {
-                            masters[index].instant(
-                                TraceKind::Quarantine,
-                                TraceLane::Host,
-                                &format!("quarantine {} (probe failed)", self.fleet[index].name),
-                                cum_makespan[index],
-                            );
-                        }
-                    }
-                }
-            }
-            // Trip the breaker on devices crossing the fault threshold.
-            if let Some(threshold) = self.recovery.quarantine_threshold {
-                for &index in &included {
-                    if health[index] == Health::Healthy && fault_counts[index] >= threshold {
-                        health[index] = Health::Quarantined {
-                            since_ms: cum_makespan[index],
-                            probing: false,
-                        };
-                        tallies.quarantines += 1;
-                        if masters[index].enabled() {
-                            masters[index].instant(
-                                TraceKind::Quarantine,
-                                TraceLane::Host,
-                                &format!(
-                                    "quarantine {} after {} faults",
-                                    self.fleet[index].name, fault_counts[index]
-                                ),
-                                cum_makespan[index],
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Plan every orphan's fate, in submission order.
-            orphans.sort_by_key(|o| o.outcome.seq);
-            for orphan in orphans {
-                let seq = orphan.outcome.seq;
-                let from = orphan.outcome.device_index;
-                let failed_at = orphan.outcome.completion_ms;
-                let can_retry = orphan.kind != FaultKind::DeviceLoss
-                    && orphan.retries < self.recovery.retry_budget;
-                let next_attempts = orphan.retries + orphan.hops + 1;
-                let backoff = self.recovery.backoff_ms * f64::from(next_attempts);
-                let allowed: Vec<usize> = self
-                    .shard_set(&requests[seq].tenant, fleet_len)
-                    .unwrap_or_else(|| (0..fleet_len).collect());
-                // A destination is usable if it is healthy, inside the
-                // tenant's shard set, and will not itself be lost before the
-                // re-dispatch could start.
-                let available = |d: usize| -> bool {
-                    health[d] == Health::Healthy
-                        && allowed.contains(&d)
-                        && self
-                            .fault_plan
-                            .device_loss_ms(d)
-                            .is_none_or(|t| (failed_at + backoff).max(cum_makespan[d]) < t)
-                };
-                let healthiest = (0..fleet_len)
-                    .filter(|&d| d != from && available(d))
-                    .min_by(|&a, &b| {
-                        cum_makespan[a]
-                            .partial_cmp(&cum_makespan[b])
-                            .expect("makespans are finite")
-                            .then(a.cmp(&b))
-                    });
-                let (dest, retries, hops) = if can_retry {
-                    // Same-device retry; a dead or quarantined home falls
-                    // back to the least-loaded survivor.
-                    let dest = if available(from) {
-                        Some(from)
-                    } else {
-                        healthiest
-                    };
-                    (dest, orphan.retries + 1, orphan.hops)
-                } else if self.recovery.failover && orphan.hops < fleet_len as u32 {
-                    (healthiest, orphan.retries, orphan.hops + 1)
-                } else {
-                    (None, orphan.retries, orphan.hops)
-                };
-                let Some(dest) = dest else {
-                    // Budget exhausted or nowhere left to run: this attempt's
-                    // typed failure is the final outcome.
-                    outcomes.push(orphan.outcome);
-                    continue;
-                };
-                let ready = (failed_at + backoff).max(cum_makespan[dest]);
-                let failed_over = orphan.outcome.failed_over || dest != from;
-                if masters[dest].enabled() {
-                    let (kind, verb) = if can_retry {
-                        (TraceKind::Retry, "retry")
-                    } else {
-                        (TraceKind::Failover, "failover")
-                    };
-                    masters[dest].instant(
-                        kind,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "{verb} {} attempt {} from device #{from}",
-                            orphan.outcome.model,
-                            retries + hops + 1
-                        ),
-                        ready,
-                    );
-                }
-                if can_retry {
-                    tallies.retries += 1;
-                } else {
-                    tallies.failovers += 1;
-                }
-                match orphan.resume {
-                    // In-flight state resumes only on a same-spec sibling —
-                    // the suspension snapshot is meaningful against the same
-                    // cost model. Anywhere else restarts from scratch.
-                    Some((mut meta, suspension))
-                        if self.fleet[dest].name == self.fleet[from].name =>
-                    {
-                        meta.retries = retries;
-                        meta.failed_over = failed_over;
-                        seeds[dest].push(SeededSuspension {
-                            meta,
-                            suspension,
-                            suspended_at_ms: failed_at,
-                            ready_ms: ready,
-                        });
-                    }
-                    _ => {
-                        let mut request = requests[seq].clone();
-                        request.arrival_ms = ready;
-                        let carry = ServeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            retries,
-                            hops,
-                            failed_over,
-                            stolen_from: orphan.outcome.stolen_from,
-                        };
-                        work[dest].push((seq, request, carry));
-                    }
-                }
-            }
-
-            // Probe dispatch: a quarantined (not lost) device past its probe
-            // delay gets exactly one queued restart item re-routed to it.
-            let horizon = cum_makespan.iter().copied().fold(0.0_f64, f64::max);
-            for probe_dev in 0..fleet_len {
-                let Health::Quarantined {
-                    since_ms,
-                    probing: false,
-                } = health[probe_dev]
-                else {
-                    continue;
-                };
-                if horizon - since_ms < self.recovery.probe_after_ms {
-                    continue;
-                }
-                let candidate = (0..fleet_len)
-                    .filter(|&d| d != probe_dev)
-                    .flat_map(|d| work[d].iter().map(move |(seq, ..)| (*seq, d)))
-                    .filter(|&(seq, _)| {
-                        self.shard_set(&requests[seq].tenant, fleet_len)
-                            .is_none_or(|allowed| allowed.contains(&probe_dev))
-                    })
-                    .min();
-                let Some((seq, d)) = candidate else { continue };
-                let pos = work[d]
-                    .iter()
-                    .position(|(s, ..)| *s == seq)
-                    .expect("candidate was just found in this queue");
-                let (seq, mut request, carry) = work[d].remove(pos);
-                request.arrival_ms = request.arrival_ms.max(cum_makespan[probe_dev]);
-                tallies.probes += 1;
-                health[probe_dev] = Health::Quarantined {
-                    since_ms,
-                    probing: true,
-                };
-                if masters[probe_dev].enabled() {
-                    masters[probe_dev].instant(
-                        TraceKind::Probe,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "probe {} with {}",
-                            self.fleet[probe_dev].name, request.model.abbr
-                        ),
-                        request.arrival_ms,
-                    );
-                }
-                work[probe_dev].push((seq, request, carry));
-            }
-
-            first_round = false;
-        }
-
-        outcomes.sort_by_key(|o| o.seq);
-        let devices: Vec<DeviceReport> = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| {
-                report.unwrap_or_else(|| DeviceReport::empty(&self.fleet[index].name))
-            })
-            .collect();
-        let report = self.assemble_report(outcomes, devices, masters, tallies);
-        report.assert_disposition();
-        Ok(report)
-    }
-
-    /// Run one device's timeline to completion. Called once per
-    /// [`DeviceJob`], usually from a pool worker: everything it touches is
-    /// either owned by the job, local to this call, or a thread-safe shared
-    /// structure (the plan cache). The returned [`TraceRecorder`] is this
-    /// device's private event buffer, filled single-threaded here and merged
-    /// (deterministically, in fleet order) at the run's commit point.
-    ///
-    /// `chaos` is `Some` only on the chaos pipeline: it carries per-request
-    /// recovery state and failed-over suspensions, and switches on fault
-    /// injection from the engine's [`FaultPlan`]. With `None` every chaos
-    /// branch is skipped and the float arithmetic is exactly the fault-free
-    /// engine's.
-    #[allow(clippy::too_many_lines)]
-    fn run_device(&self, job: DeviceJob<'_>, chaos: Option<ServeChaosJob>) -> SimResult<DeviceRun> {
-        let DeviceJob {
+        device: &Device<'_>,
+        warm: &HashSet<u64>,
+        work: ServeWork<'_>,
+        stolen: &HashMap<usize, usize>,
+    ) -> SimResult<DeviceRound<ServeResume>> {
+        let Device {
             index: device_index,
-            device,
+            spec: device,
             engine,
             sim,
+        } = device;
+        let device_index = *device_index;
+        let ServeWork {
             assigned,
             prerejected,
-            stolen,
-            warm,
-        } = job;
-        let chaos_active = chaos.is_some();
-        let (carry_map, seed_list) = match chaos {
-            Some(c) => (c.carry, c.seeds),
-            None => (HashMap::new(), Vec::new()),
-        };
-        let lost_at_ms = if chaos_active {
-            self.fault_plan.device_loss_ms(device_index)
-        } else {
-            None
-        };
-        let mut orphans: Vec<ServeOrphan> = Vec::new();
+            seeds,
+        } = work;
+        // Recovery state of re-dispatched attempts; empty in round 0.
+        let carry_map: HashMap<usize, ServeCarry> = assigned
+            .iter()
+            .filter_map(|a| a.carry.map(|carry| (a.seq, carry)))
+            .collect();
+        let lost_at_ms = self.fault_plan.device_loss_ms(device_index);
+        let draws_faults = !self.fault_plan.is_empty();
+        let mut orphans: Vec<Orphan<ServeResume>> = Vec::new();
         let mut lost = false;
-        let mut faults = 0_u32;
         let mut trace = TraceRecorder::new(self.trace);
         let mut tracker = MemoryTracker::for_device(device);
         let slots = self.policy.max_in_flight().max(1);
         let exclusive = slots == 1 && self.policy.preemption().is_none();
 
-        let total_assigned = assigned.len() + prerejected.len() + seed_list.len();
-        let mut pending = assigned;
+        let total_assigned = assigned.len() + prerejected.len() + seeds.len();
+        let mut pending: Vec<(usize, &ServeRequest)> = assigned
+            .iter()
+            .map(|a| (a.seq, a.request.as_ref()))
+            .collect();
         pending.sort_by(|a, b| {
             a.1.arrival_ms
                 .partial_cmp(&b.1.arrival_ms)
@@ -1653,7 +1041,7 @@ impl ServeEngine {
                 *service_memo
                     .entry(request.model.abbr.clone())
                     .or_insert_with(|| {
-                        match self.cache.compile(&engine, &request.model, device) {
+                        match self.cache.compile(engine, &request.model, device) {
                             Ok((artifact, _)) => predicted_service_ms(
                                 &artifact,
                                 &request.model,
@@ -1695,7 +1083,7 @@ impl ServeEngine {
         // resume path re-acquires their residency (charging the reload
         // penalty) once their backoff floor passes. Their tenant reservation
         // is held while suspended, exactly like a preemption's.
-        for seed in seed_list {
+        for seed in seeds {
             let SeededSuspension {
                 mut meta,
                 suspension,
@@ -1761,38 +1149,22 @@ impl ServeEngine {
          -> RequestOutcome {
             let carry = carry_map.get(&seq);
             let arrival_ms = carry.map_or(request.arrival_ms, |c| c.original_arrival_ms);
-            let wait_ms = (now - arrival_ms).max(0.0);
             RequestOutcome {
-                seq,
-                model: request.model.abbr.clone(),
-                tenant: request.tenant.clone(),
-                priority: request.priority,
-                device: device.name.clone(),
-                device_index,
-                arrival_ms,
-                start_ms: now,
-                completion_ms: now,
-                queue_wait_ms: wait_ms,
-                latency_ms: wait_ms,
                 deadline_ms,
-                admission_laxity_ms: None,
-                resident_estimate_bytes: 0,
-                preemptions: 0,
-                suspended_ms: 0.0,
-                resume_penalty_ms: 0.0,
-                cache_hit: false,
-                peak_memory_mb: 0.0,
-                phases: PhaseBreakdown::attribute(wait_ms, wait_ms, 0.0, 0.0, &[], &[]),
-                rejected: None,
                 stolen_from: carry
                     .and_then(|c| c.stolen_from)
                     .or_else(|| stolen.get(&seq).copied()),
-                failure: Some(FailureCause::from_error(&error)),
                 retries: carry.map_or(0, |c| c.retries),
                 failed_over: carry.is_some_and(|c| c.failed_over),
-                error: Some(error),
-                report: None,
-                decode: None,
+                ..RequestOutcome::unstarted(
+                    seq,
+                    request,
+                    &device.name,
+                    device_index,
+                    arrival_ms,
+                    now,
+                    Some(error),
+                )
             }
         };
         let fail = |outcomes: &mut Vec<RequestOutcome>,
@@ -1804,6 +1176,20 @@ impl ServeEngine {
                     error: SimError| {
             outcomes.push(waiting_failure(seq, request, deadline_ms, now, error));
             trace_failure(trace, outcomes.last().expect("just pushed"), None);
+        };
+        // Hand a faulted attempt to the recovery planner with the recovery
+        // counters it brought into this round.
+        let orphan = |outcome: RequestOutcome, kind: FaultKind, resume: ServeResume| {
+            let (retries, hops) = carry_map
+                .get(&outcome.seq)
+                .map_or((0, 0), |c| (c.retries, c.hops));
+            Orphan {
+                outcome,
+                kind,
+                retries,
+                hops,
+                resume,
+            }
         };
 
         let bounded = self.overload.queue_bound.is_some();
@@ -1824,7 +1210,7 @@ impl ServeEngine {
                             now,
                             device,
                             device_index,
-                            &stolen,
+                            stolen,
                             &mut pending,
                             &mut enqueued,
                             &mut queued,
@@ -1835,7 +1221,7 @@ impl ServeEngine {
                     }
                 }
                 self.preempt_outranked(
-                    &engine,
+                    engine,
                     device,
                     slots,
                     epoch,
@@ -1881,13 +1267,14 @@ impl ServeEngine {
                             .filter_map(|f| f.stepper.peek_start_ms(&clocks))
                             .fold(f64::INFINITY, f64::min)
                 };
-                if chaos_active && in_flight.is_empty() {
-                    // Re-dispatched work carries a backoff floor its original
-                    // arrival does not reflect; with nothing running, jump to
-                    // the earliest floor so the loop cannot spin on a queue
-                    // whose every candidate is still backing off. Ordinary
-                    // suspensions have a `NEG_INFINITY` floor and never move
-                    // `now`.
+                if in_flight.is_empty() && !suspended.is_empty() {
+                    // A failed-over suspension carries a backoff floor; with
+                    // nothing running, jump to the earliest floor so the loop
+                    // cannot spin on a queue whose every candidate is still
+                    // backing off. Ordinary suspensions have a `NEG_INFINITY`
+                    // floor and never move `now`; with nothing suspended the
+                    // idle re-base above already jumped to the earliest
+                    // arrival, re-dispatch floors included.
                     let earliest = pending
                         .iter()
                         .map(|(_, r)| r.arrival_ms)
@@ -1901,7 +1288,7 @@ impl ServeEngine {
                     now,
                     device,
                     device_index,
-                    &stolen,
+                    stolen,
                     &mut pending,
                     &mut enqueued,
                     &mut queued,
@@ -1981,7 +1368,7 @@ impl ServeEngine {
                             );
                         }
                         let (stepper, penalty) = s.suspension.resume_into_traced(
-                            &sim,
+                            sim,
                             &mut tracker,
                             resume_local,
                             epoch,
@@ -2009,9 +1396,9 @@ impl ServeEngine {
                     // not `compile`'s racy mid-run flag: at pool width > 1
                     // that flag records which device won the compile race.
                     let cache_hit =
-                        warm.contains(&ArtifactCache::key_for(&engine, &request.model, device));
+                        warm.contains(&ArtifactCache::key_for(engine, &request.model, device));
                     let artifact = match self.cache.compile_traced(
-                        &engine,
+                        engine,
                         &request.model,
                         device,
                         now,
@@ -2130,6 +1517,7 @@ impl ServeEngine {
                                 .or_else(|| stolen.get(&seq).copied()),
                             retries: carry.map_or(0, |c| c.retries),
                             failed_over: carry.is_some_and(|c| c.failed_over),
+                            attempt: carry.map_or(0, |c| c.retries + c.hops),
                             trace_start: tracker.trace().len(),
                             order: admit_order,
                             preemptions: 0,
@@ -2176,7 +1564,7 @@ impl ServeEngine {
             let base = if exclusive { 0.0 } else { epoch };
 
             // ---------------- fault injection ----------------
-            if chaos_active && chosen_start.is_finite() {
+            if chosen_start.is_finite() {
                 let would_start = epoch + chosen_start;
                 if lost_at_ms.is_some_and(|t| would_start + 1e-9 >= t) {
                     // The device dies before this command starts: everything
@@ -2195,6 +1583,10 @@ impl ServeEngine {
                         );
                     }
                     let carry_over = self.recovery.failover;
+                    let loss = SimError::Fault {
+                        kind: FaultKind::DeviceLoss,
+                        at_ms: loss_ms,
+                    };
                     for flight in in_flight.drain(..) {
                         let seq = flight.meta.seq;
                         let local_now =
@@ -2215,8 +1607,6 @@ impl ServeEngine {
                                 completion,
                             );
                         }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
                         let mut stepper = flight.stepper;
                         let meta = flight.meta;
                         let resume = if carry_over {
@@ -2241,19 +1631,10 @@ impl ServeEngine {
                             device_index,
                             completion,
                             0.0,
-                            Some(SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            }),
+                            Some(loss.clone()),
                             None,
                         );
-                        orphans.push(ServeOrphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume,
-                        });
+                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, resume));
                     }
                     for s in suspended.drain(..) {
                         let seq = s.meta.seq;
@@ -2273,8 +1654,6 @@ impl ServeEngine {
                                 at,
                             );
                         }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
                         let mut meta = s.meta;
                         meta.suspended_ms += (at - s.suspended_at_ms).max(0.0);
                         let resume = carry_over.then(|| (meta.clone(), s.suspension));
@@ -2283,19 +1662,10 @@ impl ServeEngine {
                             device_index,
                             at,
                             0.0,
-                            Some(SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            }),
+                            Some(loss.clone()),
                             None,
                         );
-                        orphans.push(ServeOrphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume,
-                        });
+                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, resume));
                     }
                     for (seq, request) in pending.drain(..) {
                         let at = loss_ms.max(request.arrival_ms);
@@ -2307,26 +1677,9 @@ impl ServeEngine {
                                 at,
                             );
                         }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
                         let deadline = self.effective_deadline(request);
-                        let outcome = waiting_failure(
-                            seq,
-                            request,
-                            deadline,
-                            at,
-                            SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            },
-                        );
-                        orphans.push(ServeOrphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume: None,
-                        });
+                        let outcome = waiting_failure(seq, request, deadline, at, loss.clone());
+                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, None));
                     }
                     if exclusive {
                         stitched.append_shifted(tracker.trace(), epoch);
@@ -2334,21 +1687,24 @@ impl ServeEngine {
                     break;
                 }
                 let flight = &in_flight[chosen];
-                let executed = flight
-                    .meta
-                    .total_commands
-                    .saturating_sub(flight.stepper.remaining());
-                let attempt = carry_map
-                    .get(&flight.meta.seq)
-                    .map_or(0, ServeCarry::attempt);
-                if let Some(kind) =
-                    self.fault_plan
-                        .command_fault(device_index, flight.meta.seq, executed, attempt)
-                {
+                let fault = draws_faults
+                    .then(|| {
+                        let executed = flight
+                            .meta
+                            .total_commands
+                            .saturating_sub(flight.stepper.remaining());
+                        self.fault_plan.command_fault(
+                            device_index,
+                            flight.meta.seq,
+                            executed,
+                            flight.meta.attempt,
+                        )
+                    })
+                    .flatten();
+                if let Some(kind) = fault {
                     // A transient injected fault: fail this attempt exactly
                     // like a modelled mid-run error, but channel it to the
                     // recovery planner instead of the final outcome list.
-                    faults += 1;
                     let mut flight = in_flight.remove(chosen);
                     let now_local = chosen_start.max(flight.stepper.makespan_ms());
                     flight
@@ -2384,8 +1740,6 @@ impl ServeEngine {
                             completion,
                         );
                     }
-                    let carry = carry_map.get(&seq).copied();
-                    let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
                     let outcome = flight.meta.into_outcome(
                         &device.name,
                         device_index,
@@ -2397,19 +1751,13 @@ impl ServeEngine {
                         }),
                         None,
                     );
-                    orphans.push(ServeOrphan {
-                        outcome,
-                        kind,
-                        retries,
-                        hops,
-                        resume: None,
-                    });
+                    orphans.push(orphan(outcome, kind, None));
                     continue;
                 }
             }
 
             let step_result = in_flight[chosen].stepper.step_traced(
-                &sim,
+                sim,
                 &mut clocks,
                 &mut tracker,
                 base,
@@ -2484,7 +1832,7 @@ impl ServeEngine {
                 // Legacy path: the request ran in run-local time against a
                 // freshly reset trace; finalize exactly like the monolithic
                 // executor, stitch, then evict the whole model.
-                let outcome_exec = flight.stepper.finish(&sim, &mut tracker);
+                let outcome_exec = flight.stepper.finish(sim, &mut tracker);
                 let report = ExecutionReport::from_outcome(
                     "FlashMem",
                     &flight.meta.abbr,
@@ -2572,13 +1920,12 @@ impl ServeEngine {
             queue_depth_high_water: queue_high_water,
             memory_trace: mem_trace,
         };
-        Ok(DeviceRun {
+        Ok(DeviceRound {
             outcomes,
             report,
             trace,
             orphans,
             lost,
-            faults,
         })
     }
 
@@ -2746,6 +2093,199 @@ impl ServeEngine {
             });
         }
         Ok(())
+    }
+}
+
+impl<'a> DeviceLoop for ServeLoop<'a> {
+    type Work = ServeWork<'a>;
+    type Resume = ServeResume;
+
+    fn is_idle(work: &ServeWork<'a>) -> bool {
+        work.assigned.is_empty() && work.seeds.is_empty()
+    }
+
+    fn models<'w>(work: &'w ServeWork<'a>) -> impl Iterator<Item = &'w ModelSpec> {
+        work.assigned.iter().map(|a| &a.request.model)
+    }
+
+    fn run_device(
+        &self,
+        device: &Device<'_>,
+        warm: &HashSet<u64>,
+        work: ServeWork<'a>,
+    ) -> SimResult<DeviceRound<ServeResume>> {
+        self.engine
+            .run_device(device, warm, work, &self.stolen_from)
+    }
+
+    /// The sequential recovery planner. It first drives the circuit breaker:
+    /// a clean probe reinstates its device, a faulting one re-quarantines
+    /// it, and devices crossing the fault threshold are **quarantined** (no
+    /// placements). Then, in submission order, it decides each orphan's
+    /// fate through [`Fleet::redispatch`]; a failed-over
+    /// [`Suspension`] resumes on a same-spec sibling, anything else
+    /// restarts from scratch. Last, a quarantined device past the probe
+    /// delay gets one queued restart as its **probe**.
+    ///
+    /// Termination is structural: retries are bounded per request by the
+    /// budget, failovers by the fleet size, and probes only move work that
+    /// already exists.
+    fn plan(
+        &self,
+        fleet: &mut Fleet<'_>,
+        included: &[usize],
+        orphans: Vec<Orphan<ServeResume>>,
+    ) -> Vec<ServeWork<'a>> {
+        let engine = self.engine;
+        let fleet_len = fleet.len();
+        let quarantine = |fleet: &mut Fleet<'_>, index: usize, why: String| {
+            fleet.health[index] = Health::Quarantined {
+                since_ms: fleet.makespan[index],
+                probing: false,
+            };
+            fleet.tallies.quarantines += 1;
+            if fleet.traces[index].enabled() {
+                let at = fleet.makespan[index];
+                fleet.traces[index].instant(
+                    TraceKind::Quarantine,
+                    TraceLane::Host,
+                    &format!("quarantine {} {why}", fleet.devices[index].spec.name),
+                    at,
+                );
+            }
+        };
+        // Probe verdicts first: a clean probe closes the breaker, a faulting
+        // one re-opens it.
+        for &index in included {
+            if let Health::Quarantined { probing: true, .. } = fleet.health[index] {
+                let faulted = orphans
+                    .iter()
+                    .any(|o| o.outcome.device_index == index && o.kind != FaultKind::DeviceLoss);
+                if faulted {
+                    quarantine(fleet, index, "(probe failed)".to_string());
+                } else {
+                    fleet.health[index] = Health::Healthy;
+                    fleet.faults[index] = 0;
+                }
+            }
+        }
+        // Trip the breaker on devices crossing the fault threshold.
+        if let Some(threshold) = engine.recovery.quarantine_threshold {
+            for &index in included {
+                if fleet.health[index] == Health::Healthy && fleet.faults[index] >= threshold {
+                    let why = format!("after {} faults", fleet.faults[index]);
+                    quarantine(fleet, index, why);
+                }
+            }
+        }
+
+        let mut work: Vec<ServeWork<'a>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
+        for orphan in orphans {
+            let seq = orphan.outcome.seq;
+            let allowed = engine
+                .shard_set(&self.requests[seq].tenant, fleet_len)
+                .unwrap_or_else(|| (0..fleet_len).collect());
+            // A destination must be inside the tenant's shard set and must
+            // not itself be lost before the re-dispatch could start.
+            let usable = |d: usize, ready_ms: f64| {
+                allowed.contains(&d)
+                    && engine
+                        .fault_plan
+                        .device_loss_ms(d)
+                        .is_none_or(|t| ready_ms < t)
+            };
+            let Some((to, orphan)) = fleet.redispatch(orphan, usable) else {
+                continue;
+            };
+            let from = orphan.outcome.device_index;
+            match orphan.resume {
+                // In-flight state resumes only on a same-spec sibling — the
+                // suspension snapshot is meaningful against the same cost
+                // model. Anywhere else restarts from scratch.
+                Some((mut meta, suspension))
+                    if fleet.devices[to.dest].spec.name == fleet.devices[from].spec.name =>
+                {
+                    meta.retries = to.retries;
+                    meta.failed_over = to.failed_over;
+                    // A resumed suspension draws its faults as a first
+                    // attempt on its new device.
+                    meta.attempt = 0;
+                    work[to.dest].seeds.push(SeededSuspension {
+                        meta,
+                        suspension,
+                        suspended_at_ms: orphan.outcome.completion_ms,
+                        ready_ms: to.ready_ms,
+                    });
+                }
+                _ => {
+                    let mut request = self.requests[seq].clone();
+                    request.arrival_ms = to.ready_ms;
+                    work[to.dest].assigned.push(Attempt {
+                        seq,
+                        request: Cow::Owned(request),
+                        carry: Some(ServeCarry {
+                            original_arrival_ms: orphan.outcome.arrival_ms,
+                            retries: to.retries,
+                            hops: to.hops,
+                            failed_over: to.failed_over,
+                            stolen_from: orphan.outcome.stolen_from,
+                        }),
+                    });
+                }
+            }
+        }
+
+        // Probe dispatch: a quarantined (not lost) device past its probe
+        // delay gets exactly one queued restart re-routed to it.
+        let horizon = fleet.makespan.iter().copied().fold(0.0_f64, f64::max);
+        for probe_dev in 0..fleet_len {
+            let Health::Quarantined {
+                since_ms,
+                probing: false,
+            } = fleet.health[probe_dev]
+            else {
+                continue;
+            };
+            if horizon - since_ms < engine.recovery.probe_after_ms {
+                continue;
+            }
+            let candidate = (0..fleet_len)
+                .filter(|&d| d != probe_dev)
+                .flat_map(|d| work[d].assigned.iter().map(move |a| (a.seq, d)))
+                .filter(|&(seq, _)| {
+                    engine
+                        .shard_set(&self.requests[seq].tenant, fleet_len)
+                        .is_none_or(|allowed| allowed.contains(&probe_dev))
+                })
+                .min();
+            let Some((seq, d)) = candidate else { continue };
+            let pos = work[d]
+                .assigned
+                .iter()
+                .position(|a| a.seq == seq)
+                .expect("candidate was just found in this queue");
+            let mut probe = work[d].assigned.remove(pos);
+            let arrival_ms = probe.request.arrival_ms.max(fleet.makespan[probe_dev]);
+            probe.request.to_mut().arrival_ms = arrival_ms;
+            fleet.tallies.probes += 1;
+            fleet.health[probe_dev] = Health::Quarantined {
+                since_ms,
+                probing: true,
+            };
+            if fleet.traces[probe_dev].enabled() {
+                fleet.traces[probe_dev].instant(
+                    TraceKind::Probe,
+                    TraceLane::Request(seq),
+                    &format!(
+                        "probe {} with {}",
+                        fleet.devices[probe_dev].spec.name, probe.request.model.abbr
+                    ),
+                    arrival_ms,
+                );
+            }
+            work[probe_dev].assigned.push(probe);
+        }
+        work
     }
 }
 
