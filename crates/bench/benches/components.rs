@@ -24,17 +24,23 @@ fn bench_solver_window() {
             memory_headroom_chunks: 64,
         })
         .collect();
-    // Exactly the solve the LC-OPG planner issues per weight: a warm-started,
-    // time-limited window model.
-    let solver = CpSolver::with_config(SolverConfig::with_time_limit_ms(
-        config.solver_time_limit_ms,
-    ));
-    group("solver");
-    bench("opg_window_solve_24_candidates", 10, || {
+    // Exactly the solve the LC-OPG planner issues per weight: a warm-started
+    // window model under the planner's per-window node limit.
+    let solver = CpSolver::with_config(SolverConfig {
+        max_nodes: config.solver_node_limit,
+    });
+    let solve = || {
         let window = build_weight_window_model(25, 40, &candidates, &config);
         let hint = greedy_hint(&window);
         solver.solve_with_hint(&window.model, Some(&hint))
-    });
+    };
+    group("solver");
+    bench("opg_window_solve_24_candidates", 10, solve);
+    let outcome = solve();
+    println!(
+        "{:<45} {} nodes (limit {}), {}",
+        "", outcome.nodes_explored, config.solver_node_limit, outcome.status
+    );
 }
 
 fn bench_lc_opg_plan() {

@@ -226,6 +226,13 @@ mod tests {
     use super::*;
     use flashmem_solver::{CpSolver, SolveStatus, SolverConfig};
 
+    /// A solver with the planner's default per-window node limit.
+    fn solver() -> CpSolver {
+        CpSolver::with_config(SolverConfig {
+            max_nodes: FlashMemConfig::default().solver_node_limit,
+        })
+    }
+
     fn candidates(caps: &[(usize, u64, u64)]) -> Vec<CandidateSlot> {
         caps.iter()
             .map(
@@ -243,8 +250,7 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(5, 10, 100), (6, 10, 100), (7, 10, 100)]);
         let window = build_weight_window_model(8, 12, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
-            .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
+        let out = solver().solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution(), "{:?}", out.status);
         let decision = extract_decision(&window, &out.solution.unwrap());
         assert!(!decision.preload);
@@ -263,8 +269,7 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(2, 2, 100), (3, 3, 100)]);
         let window = build_weight_window_model(4, 40, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
-            .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
+        let out = solver().solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution());
         let decision = extract_decision(&window, &out.solution.unwrap());
         assert!(decision.preload, "only 5 chunks of capacity for 40 chunks");
@@ -276,8 +281,7 @@ mod tests {
         // Plenty of per-kernel capacity but almost no memory headroom early.
         let slots = candidates(&[(1, 50, 1), (2, 50, 1), (3, 50, 30)]);
         let window = build_weight_window_model(4, 20, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
-            .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
+        let out = solver().solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         let decision = extract_decision(&window, &out.solution.unwrap());
         assert!(!decision.preload);
         // The prefix ending at kernel 1 may hold at most 1 chunk.
@@ -297,8 +301,7 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(3, 8, 100), (4, 8, 100)]);
         let window = build_weight_window_model(5, 10, &slots, &config);
-        let out =
-            CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000)).solve(&window.model);
+        let out = solver().solve(&window.model);
         assert_eq!(out.status, SolveStatus::Optimal);
         let solution = out.solution.unwrap();
         let decision = extract_decision(&window, &solution);

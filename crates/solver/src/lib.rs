@@ -11,9 +11,10 @@
 //! * linear `≤` / `≥` / `=` constraints,
 //! * implications `(x ≥ k) ⇒ (y ≤ m)` (constraint C1 of the paper),
 //! * a linear objective, minimised or maximised,
-//! * bounds propagation + depth-first branch & bound with a wall-clock limit,
-//!   reporting `OPTIMAL` / `FEASIBLE` / `INFEASIBLE` / `UNKNOWN` statuses like
-//!   Table 4 of the paper,
+//! * watch-list bounds propagation + depth-first branch & bound, pruned by
+//!   an LP bound on the objective and stopped by a node budget, reporting
+//!   `OPTIMAL` / `FEASIBLE` / `INFEASIBLE` / `UNKNOWN` statuses like Table 4
+//!   of the paper — deterministically, since no clock is read,
 //! * warm-start hints so a greedy plan can seed the exact search.
 //!
 //! ## Example
@@ -35,7 +36,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod bound;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod propagate;
 pub mod search;
 pub mod solution;

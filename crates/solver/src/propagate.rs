@@ -5,6 +5,12 @@
 //! workhorse that lets OPG instances with thousands of chunk variables stay
 //! tractable: most `x_{w,ℓ}` variables are fixed to zero by the capacity and
 //! completeness constraints long before branching touches them.
+//!
+//! The propagator keeps, per variable, the list of constraints that mention
+//! it and runs a work queue: only constraints watching a variable whose bounds
+//! just moved are revisited. Every constraint step is monotone, so the queue
+//! reaches the same fixed point as sweeping every constraint until nothing
+//! changes, whatever order it visits them in.
 
 use crate::model::{Constraint, CpModel, Domain, LinearExpr};
 
@@ -17,146 +23,225 @@ pub enum PropagationResult {
     Conflict,
 }
 
-/// Propagate all constraints to a fixed point over the given domains.
+/// Propagate all constraints of `model` to a fixed point over `domains`.
 ///
 /// Returns [`PropagationResult::Conflict`] as soon as any domain empties.
 /// The procedure is sound (never removes a feasible value) and terminates
 /// because every tightening strictly shrinks a finite domain.
 pub fn propagate(model: &CpModel, domains: &mut [Domain]) -> PropagationResult {
-    // Fixed-point loop: iterate until no domain changes. Constraint counts in
-    // OPG windows are small (hundreds), so a simple sweep is fast enough.
-    loop {
-        let mut changed = false;
-        for constraint in model.constraints() {
-            match propagate_one(constraint, domains) {
-                StepResult::Conflict => return PropagationResult::Conflict,
-                StepResult::Changed => changed = true,
-                StepResult::Unchanged => {}
+    Propagator::new(model).propagate_all(domains)
+}
+
+/// A domain emptied: the subproblem has no solution.
+struct Conflict;
+
+/// Queue-driven propagator over per-variable watch lists, built once per
+/// model and reused for every search node.
+pub(crate) struct Propagator<'m> {
+    constraints: &'m [Constraint],
+    /// `watches[v]`: indices of the constraints that mention variable `v`.
+    watches: Vec<Vec<usize>>,
+    pending: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl<'m> Propagator<'m> {
+    pub(crate) fn new(model: &'m CpModel) -> Self {
+        let constraints = model.constraints();
+        let mut watches = vec![Vec::new(); model.num_vars()];
+        for (idx, constraint) in constraints.iter().enumerate() {
+            // Domains only shrink, so a constraint that every value of the
+            // initial domains satisfies can never tighten or fail.
+            if entailed(constraint, model.domains()) {
+                continue;
+            }
+            let mut watch = |v: usize| {
+                if watches[v].last() != Some(&idx) {
+                    watches[v].push(idx);
+                }
+            };
+            match constraint {
+                Constraint::LinearLe { expr, .. }
+                | Constraint::LinearGe { expr, .. }
+                | Constraint::LinearEq { expr, .. } => {
+                    expr.terms.iter().for_each(|(v, _)| watch(v.0))
+                }
+                Constraint::IfGeThenLe { cond, then, .. } => {
+                    watch(cond.0);
+                    watch(then.0);
+                }
             }
         }
-        if !changed {
-            return PropagationResult::Consistent;
+        Propagator {
+            constraints,
+            watches,
+            pending: Vec::with_capacity(constraints.len()),
+            queued: vec![false; constraints.len()],
         }
     }
-}
 
-enum StepResult {
-    Unchanged,
-    Changed,
-    Conflict,
-}
+    /// Propagate every constraint to a fixed point.
+    pub(crate) fn propagate_all(&mut self, domains: &mut [Domain]) -> PropagationResult {
+        for idx in 0..self.constraints.len() {
+            self.enqueue(idx);
+        }
+        self.run(domains)
+    }
 
-/// Minimum and maximum achievable value of `expr` under current bounds.
-fn expr_bounds(expr: &LinearExpr, domains: &[Domain]) -> (i64, i64) {
-    let mut lo = expr.constant;
-    let mut hi = expr.constant;
-    for (v, c) in &expr.terms {
-        let d = domains[v.0];
-        if *c >= 0 {
-            lo += c * d.lo;
-            hi += c * d.hi;
-        } else {
-            lo += c * d.hi;
-            hi += c * d.lo;
+    /// Restore the fixed point after the bounds of `var` alone were narrowed
+    /// in domains that were at a fixed point before.
+    pub(crate) fn propagate_from(
+        &mut self,
+        var: usize,
+        domains: &mut [Domain],
+    ) -> PropagationResult {
+        self.touch(var);
+        self.run(domains)
+    }
+
+    fn enqueue(&mut self, idx: usize) {
+        if !self.queued[idx] {
+            self.queued[idx] = true;
+            self.pending.push(idx);
         }
     }
-    (lo, hi)
-}
 
-fn tighten(domains: &mut [Domain], var: usize, lo: i64, hi: i64) -> StepResult {
-    let d = domains[var];
-    let nd = Domain::new(d.lo.max(lo), d.hi.min(hi));
-    if nd.is_empty() {
+    fn touch(&mut self, var: usize) {
+        for i in 0..self.watches[var].len() {
+            self.enqueue(self.watches[var][i]);
+        }
+    }
+
+    fn run(&mut self, domains: &mut [Domain]) -> PropagationResult {
+        while let Some(idx) = self.pending.pop() {
+            self.queued[idx] = false;
+            if self.step(idx, domains).is_err() {
+                for idx in self.pending.drain(..) {
+                    self.queued[idx] = false;
+                }
+                return PropagationResult::Conflict;
+            }
+        }
+        PropagationResult::Consistent
+    }
+
+    /// Narrow `var` to `[lo, hi]`, queueing its watchers if it moved.
+    fn tighten(
+        &mut self,
+        domains: &mut [Domain],
+        var: usize,
+        lo: i64,
+        hi: i64,
+    ) -> Result<(), Conflict> {
+        let d = domains[var];
+        let nd = d.clamp_to(lo, hi);
         domains[var] = nd;
-        return StepResult::Conflict;
+        if nd.is_empty() {
+            return Err(Conflict);
+        }
+        if nd != d {
+            self.touch(var);
+        }
+        Ok(())
     }
-    if nd != d {
-        domains[var] = nd;
-        StepResult::Changed
-    } else {
-        StepResult::Unchanged
+
+    fn step(&mut self, idx: usize, domains: &mut [Domain]) -> Result<(), Conflict> {
+        let constraints = self.constraints;
+        match &constraints[idx] {
+            Constraint::LinearLe { expr, bound } => self.linear_le(expr, 1, *bound, domains),
+            Constraint::LinearGe { expr, bound } => self.linear_le(expr, -1, -*bound, domains),
+            Constraint::LinearEq { expr, bound } => {
+                self.linear_le(expr, 1, *bound, domains)?;
+                self.linear_le(expr, -1, -*bound, domains)
+            }
+            Constraint::IfGeThenLe {
+                cond,
+                threshold,
+                then,
+                bound,
+            } => {
+                // If the condition must hold, enforce the consequent.
+                if domains[cond.0].lo >= *threshold {
+                    return self.tighten(domains, then.0, i64::MIN, *bound);
+                }
+                // If the consequent cannot hold, the condition must be false.
+                if domains[then.0].lo > *bound {
+                    return self.tighten(domains, cond.0, i64::MIN, threshold - 1);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Propagate `sign · expr ≤ bound`; `sign` is `-1` for a `≥` constraint
+    /// read as `-expr ≤ -bound`.
+    fn linear_le(
+        &mut self,
+        expr: &LinearExpr,
+        sign: i64,
+        bound: i64,
+        domains: &mut [Domain],
+    ) -> Result<(), Conflict> {
+        let lo = sign * expr.constant
+            + expr
+                .terms
+                .iter()
+                .map(|(v, c)| term_min(sign * c, domains[v.0]))
+                .sum::<i64>();
+        if lo > bound {
+            return Err(Conflict);
+        }
+        // For each term, the slack left by the others at their minimum
+        // determines its tightest bound.
+        for (v, c) in &expr.terms {
+            let c = sign * c;
+            if c == 0 {
+                continue;
+            }
+            let slack = bound - (lo - term_min(c, domains[v.0]));
+            if c > 0 {
+                // c*x <= slack  =>  x <= floor(slack / c)
+                self.tighten(domains, v.0, i64::MIN, slack.div_euclid(c))?;
+            } else {
+                // c*x <= slack with c < 0  =>  x >= slack / c. Rounding down
+                // keeps the bound sound but can leave one value the exact
+                // ceiling would remove.
+                self.tighten(domains, v.0, (-slack).div_euclid(-c), i64::MAX)?;
+            }
+        }
+        Ok(())
     }
 }
 
-fn propagate_le(expr: &LinearExpr, bound: i64, domains: &mut [Domain]) -> StepResult {
-    let (lo, _) = expr_bounds(expr, domains);
-    if lo > bound {
-        return StepResult::Conflict;
-    }
-    // For each term, the slack available to it determines its tightest bound.
-    let mut changed = false;
-    for (v, c) in &expr.terms {
-        if *c == 0 {
-            continue;
-        }
-        let d = domains[v.0];
-        // Contribution of the other terms at their minimum.
-        let others_lo = lo - if *c >= 0 { c * d.lo } else { c * d.hi };
-        let slack = bound - others_lo;
-        let result = if *c > 0 {
-            // c*x <= slack  =>  x <= floor(slack / c)
-            tighten(domains, v.0, i64::MIN, slack.div_euclid(*c))
-        } else {
-            // c*x <= slack with c < 0  =>  x >= ceil(slack / c)
-            let c_abs = -*c;
-            tighten(domains, v.0, (-slack).div_euclid(c_abs), i64::MAX)
-        };
-        match result {
-            StepResult::Conflict => return StepResult::Conflict,
-            StepResult::Changed => changed = true,
-            StepResult::Unchanged => {}
-        }
-    }
-    if changed {
-        StepResult::Changed
-    } else {
-        StepResult::Unchanged
-    }
-}
-
-fn propagate_ge(expr: &LinearExpr, bound: i64, domains: &mut [Domain]) -> StepResult {
-    // expr >= bound  <=>  -expr <= -bound
-    let negated = LinearExpr {
-        terms: expr.terms.iter().map(|(v, c)| (*v, -c)).collect(),
-        constant: -expr.constant,
+/// True if every assignment within `domains` satisfies `constraint`.
+fn entailed(constraint: &Constraint, domains: &[Domain]) -> bool {
+    let max = |expr: &LinearExpr, sign: i64| {
+        sign * expr.constant
+            - expr
+                .terms
+                .iter()
+                .map(|(v, c)| term_min(-sign * c, domains[v.0]))
+                .sum::<i64>()
     };
-    propagate_le(&negated, -bound, domains)
-}
-
-fn propagate_one(constraint: &Constraint, domains: &mut [Domain]) -> StepResult {
     match constraint {
-        Constraint::LinearLe { expr, bound } => propagate_le(expr, *bound, domains),
-        Constraint::LinearGe { expr, bound } => propagate_ge(expr, *bound, domains),
-        Constraint::LinearEq { expr, bound } => {
-            let a = propagate_le(expr, *bound, domains);
-            if matches!(a, StepResult::Conflict) {
-                return StepResult::Conflict;
-            }
-            let b = propagate_ge(expr, *bound, domains);
-            match (a, b) {
-                (_, StepResult::Conflict) => StepResult::Conflict,
-                (StepResult::Changed, _) | (_, StepResult::Changed) => StepResult::Changed,
-                _ => StepResult::Unchanged,
-            }
-        }
+        Constraint::LinearLe { expr, bound } => max(expr, 1) <= *bound,
+        Constraint::LinearGe { expr, bound } => max(expr, -1) <= -*bound,
+        Constraint::LinearEq { .. } => false,
         Constraint::IfGeThenLe {
             cond,
             threshold,
             then,
             bound,
-        } => {
-            let c = domains[cond.0];
-            let t = domains[then.0];
-            // If the condition must hold, enforce the consequent.
-            if c.lo >= *threshold {
-                return tighten(domains, then.0, i64::MIN, *bound);
-            }
-            // If the consequent cannot hold, the condition must be false.
-            if t.lo > *bound {
-                return tighten(domains, cond.0, i64::MIN, threshold - 1);
-            }
-            StepResult::Unchanged
-        }
+        } => domains[cond.0].hi < *threshold || domains[then.0].hi <= *bound,
+    }
+}
+
+/// Smallest value of `c · x` over `d`.
+pub(crate) fn term_min(c: i64, d: Domain) -> i64 {
+    if c >= 0 {
+        c * d.lo
+    } else {
+        c * d.hi
     }
 }
 

@@ -3,43 +3,38 @@
 //! [`CpSolver`] combines the bounds propagator with depth-first branch and
 //! bound: pick the unfixed variable with the smallest domain, try its lower
 //! half first (OPG variables prefer "load as little as possible as late as
-//! possible"), prune by the objective bound, and respect a wall-clock time
-//! limit — returning `Feasible` rather than `Optimal` when the limit is hit,
-//! exactly like the CP-SAT statuses reported in Table 4 of the paper.
-
-use std::time::{Duration, Instant};
+//! possible"), and prune every subtree whose objective lower bound cannot
+//! beat the incumbent. The bound is the larger of the box bound and, for
+//! each equality with all-positive coefficients, its LP relaxation.
+//!
+//! The only stopping rule is a node budget, [`SolverConfig::max_nodes`], so
+//! the outcome is a function of the model and hint alone: the same status,
+//! solution and node count on any host under any load. A search that runs
+//! out of nodes returns `Feasible` (or `Unknown` without a solution) rather
+//! than `Optimal`, like the CP-SAT statuses reported in Table 4 of the paper.
+//! The incumbent only changes on a strictly better solution and pruning only
+//! drops subtrees that hold none, so an `Optimal` result is the solution an
+//! unbounded search without the objective bound would return.
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{CpModel, Domain, LinearExpr, Sense};
-use crate::propagate::{propagate, PropagationResult};
+use crate::bound::Objective;
+use crate::model::{CpModel, Domain};
+use crate::propagate::{PropagationResult, Propagator};
 use crate::solution::{Solution, SolveOutcome, SolveStatus};
 
 /// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverConfig {
-    /// Wall-clock limit. The paper uses 150 s for the full LC-OPG run; the
-    /// per-window instances FlashMem solves use much smaller limits.
-    pub time_limit: Duration,
-    /// Cap on explored search nodes (safety net against degenerate models).
+    /// Most branch-and-bound nodes one solve may explore. Reaching it ends
+    /// the search without an optimality proof.
     pub max_nodes: u64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            time_limit: Duration::from_secs(150),
             max_nodes: 2_000_000,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// A configuration with the given time limit in milliseconds.
-    pub fn with_time_limit_ms(ms: u64) -> Self {
-        SolverConfig {
-            time_limit: Duration::from_millis(ms),
-            ..Default::default()
         }
     }
 }
@@ -52,9 +47,10 @@ pub struct CpSolver {
 
 struct SearchState<'a> {
     model: &'a CpModel,
-    objective: Option<&'a (LinearExpr, Sense)>,
+    propagator: Propagator<'a>,
+    objective: Objective,
+    /// Incumbent: normalised objective (smaller is better) and assignment.
     best: Option<(i64, Vec<i64>)>,
-    deadline: Instant,
     nodes: u64,
     max_nodes: u64,
     hit_limit: bool,
@@ -80,65 +76,46 @@ impl CpSolver {
     /// that, if feasible, immediately bounds the objective — this is how the
     /// LC-OPG greedy fallback seeds the exact search).
     pub fn solve_with_hint(&self, model: &CpModel, hint: Option<&[i64]>) -> SolveOutcome {
-        let started = Instant::now();
         let mut domains: Vec<Domain> = model.domains().to_vec();
+        let mut propagator = Propagator::new(model);
 
         // Root propagation.
-        if propagate(model, &mut domains) == PropagationResult::Conflict {
+        if propagator.propagate_all(&mut domains) == PropagationResult::Conflict {
             return SolveOutcome {
                 status: SolveStatus::Infeasible,
                 solution: None,
                 objective: None,
                 nodes_explored: 0,
-                solve_time: started.elapsed(),
             };
         }
 
+        let objective = Objective::new(model);
+        let best = hint
+            .filter(|h| model.is_feasible(h))
+            .map(|h| (objective.value(h), h.to_vec()));
         let mut state = SearchState {
             model,
-            objective: model.objective(),
-            best: None,
-            deadline: started + self.config.time_limit,
+            propagator,
+            objective,
+            best,
             nodes: 0,
             max_nodes: self.config.max_nodes,
             hit_limit: false,
         };
 
-        // Seed with the hint if it is feasible.
-        if let Some(h) = hint {
-            if model.is_feasible(h) {
-                let obj = state
-                    .objective
-                    .map(|(expr, sense)| normalised_objective(expr, *sense, h))
-                    .unwrap_or(0);
-                state.best = Some((obj, h.to_vec()));
-            }
-        }
+        dfs(&mut state, domains, None);
 
-        dfs(&mut state, domains);
-
-        let elapsed = started.elapsed();
         match state.best {
-            Some((obj, assignment)) => {
-                let status = if state.hit_limit {
+            Some((obj, assignment)) => SolveOutcome {
+                status: if state.hit_limit {
                     SolveStatus::Feasible
                 } else {
                     SolveStatus::Optimal
-                };
-                let objective = state.objective.map(|(_, sense)| match sense {
-                    Sense::Minimize => obj,
-                    Sense::Maximize => -obj,
-                });
-                // A model without an objective is a pure satisfaction problem:
-                // any solution is "optimal".
-                SolveOutcome {
-                    status,
-                    solution: Some(Solution::new(assignment)),
-                    objective: objective.or(Some(CpModel::eval_expr(&LinearExpr::new(), &[]))),
-                    nodes_explored: state.nodes,
-                    solve_time: elapsed,
-                }
-            }
+                },
+                solution: Some(Solution::new(assignment)),
+                objective: Some(state.objective.denormalise(obj)),
+                nodes_explored: state.nodes,
+            },
             None => SolveOutcome {
                 status: if state.hit_limit {
                     SolveStatus::Unknown
@@ -148,7 +125,6 @@ impl CpSolver {
                 solution: None,
                 objective: None,
                 nodes_explored: state.nodes,
-                solve_time: elapsed,
             },
         }
     }
@@ -159,55 +135,24 @@ impl CpSolver {
     }
 }
 
-/// Objective value normalised so that *smaller is better* regardless of sense.
-fn normalised_objective(expr: &LinearExpr, sense: Sense, assignment: &[i64]) -> i64 {
-    let v = CpModel::eval_expr(expr, assignment);
-    match sense {
-        Sense::Minimize => v,
-        Sense::Maximize => -v,
-    }
-}
-
-/// Lower bound of the (normalised) objective under current domains.
-fn objective_lower_bound(expr: &LinearExpr, sense: Sense, domains: &[Domain]) -> i64 {
-    let mut bound = match sense {
-        Sense::Minimize => expr.constant,
-        Sense::Maximize => -expr.constant,
-    };
-    for (v, c) in &expr.terms {
-        let d = domains[v.0];
-        let coeff = match sense {
-            Sense::Minimize => *c,
-            Sense::Maximize => -*c,
-        };
-        bound += if coeff >= 0 {
-            coeff * d.lo
-        } else {
-            coeff * d.hi
-        };
-    }
-    bound
-}
-
-fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
-    state.nodes += 1;
-    if state.nodes.is_multiple_of(256)
-        && (Instant::now() >= state.deadline || state.nodes >= state.max_nodes)
-    {
+/// Explore the subtree of `domains`, whose bounds are at a propagation fixed
+/// point except for the variable `branched` that was just split.
+fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>, branched: Option<usize>) {
+    if state.nodes >= state.max_nodes {
         state.hit_limit = true;
-    }
-    if state.hit_limit {
         return;
     }
+    state.nodes += 1;
 
-    if propagate(state.model, &mut domains) == PropagationResult::Conflict {
-        return;
+    if let Some(var) = branched {
+        if state.propagator.propagate_from(var, &mut domains) == PropagationResult::Conflict {
+            return;
+        }
     }
 
     // Objective pruning.
-    if let (Some((expr, sense)), Some((best, _))) = (state.objective, &state.best) {
-        let lb = objective_lower_bound(expr, *sense, &domains);
-        if lb >= *best {
+    if let Some((best, _)) = &state.best {
+        if state.objective.lower_bound(&domains) >= i128::from(*best) {
             return;
         }
     }
@@ -231,12 +176,8 @@ fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
         if !state.model.is_feasible(&assignment) {
             return;
         }
-        let obj = state
-            .objective
-            .map(|(expr, sense)| normalised_objective(expr, *sense, &assignment))
-            .unwrap_or(0);
-        let better = state.best.as_ref().map(|(b, _)| obj < *b).unwrap_or(true);
-        if better {
+        let obj = state.objective.value(&assignment);
+        if state.best.as_ref().is_none_or(|(b, _)| obj < *b) {
             state.best = Some((obj, assignment));
         }
         return;
@@ -249,7 +190,7 @@ fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
 
     let mut lower = domains.clone();
     lower[var] = Domain::new(d.lo, mid);
-    dfs(state, lower);
+    dfs(state, lower, Some(var));
 
     if state.hit_limit {
         return;
@@ -257,7 +198,7 @@ fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
 
     let mut upper = domains;
     upper[var] = Domain::new(mid + 1, d.hi);
-    dfs(state, upper);
+    dfs(state, upper, Some(var));
 }
 
 #[cfg(test)]
@@ -352,9 +293,9 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_yields_feasible_not_optimal() {
-        // A knapsack-ish model large enough that a 0 ms limit cannot prove
-        // optimality but the first dive still finds something feasible.
+    fn node_limit_yields_feasible_not_optimal() {
+        // A knapsack-ish model large enough that 64 nodes cannot prove
+        // optimality. The limit is exact, and a rerun repeats the outcome.
         let mut m = CpModel::new();
         let vars: Vec<_> = (0..30)
             .map(|i| m.new_int_var(0, 20, &format!("v{i}")))
@@ -362,16 +303,29 @@ mod tests {
         // Σ v_i >= 100
         m.add_ge(LinearExpr::sum(&vars), 100);
         m.minimize(LinearExpr::sum(&vars));
-        let solver = CpSolver::with_config(SolverConfig {
-            time_limit: Duration::from_millis(0),
-            max_nodes: 10_000,
-        });
+        let solver = CpSolver::with_config(SolverConfig { max_nodes: 64 });
         let out = solver.solve(&m);
         assert!(
             matches!(out.status, SolveStatus::Feasible | SolveStatus::Unknown),
             "status {:?}",
             out.status
         );
+        assert_eq!(out.nodes_explored, 64);
+        assert_eq!(solver.solve(&m), out);
+    }
+
+    #[test]
+    fn zero_node_limit_returns_the_hint_unproved() {
+        let mut m = CpModel::new();
+        let x = m.new_int_var(0, 50, "x");
+        m.add_ge(LinearExpr::var(x), 5);
+        m.minimize(LinearExpr::var(x));
+        let solver = CpSolver::with_config(SolverConfig { max_nodes: 0 });
+        let out = solver.solve_with_hint(&m, Some(&[7]));
+        assert_eq!(out.status, SolveStatus::Feasible);
+        assert_eq!(out.objective, Some(7));
+        assert_eq!(out.nodes_explored, 0);
+        assert_eq!(solver.solve(&m).status, SolveStatus::Unknown);
     }
 
     #[test]
@@ -397,6 +351,5 @@ mod tests {
         m.minimize(LinearExpr::var(x));
         let out = CpSolver::new().solve(&m);
         assert!(out.nodes_explored >= 1);
-        assert!(out.solve_time <= Duration::from_secs(5));
     }
 }

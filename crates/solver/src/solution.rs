@@ -1,18 +1,17 @@
 //! Solutions and solve outcomes.
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
 use crate::model::VarId;
 
 /// Termination status of a solve, mirroring CP-SAT's vocabulary (the paper's
-/// Table 4 reports OPTIMAL and FEASIBLE statuses under a 150 s limit).
+/// Table 4 reports OPTIMAL and FEASIBLE statuses under a 150 s limit; here
+/// the limit is a node count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SolveStatus {
     /// An optimal solution was found and proved optimal.
     Optimal,
-    /// A solution was found but the time/node limit prevented an optimality
+    /// A solution was found but the node limit prevented an optimality
     /// proof.
     Feasible,
     /// The model has no solution.
@@ -92,8 +91,6 @@ pub struct SolveOutcome {
     pub objective: Option<i64>,
     /// Number of branch-and-bound nodes explored.
     pub nodes_explored: u64,
-    /// Wall-clock time spent solving.
-    pub solve_time: Duration,
 }
 
 impl SolveOutcome {
@@ -134,7 +131,6 @@ mod tests {
             solution: None,
             objective: None,
             nodes_explored: 0,
-            solve_time: Duration::from_millis(1),
         };
         let err = out.require_solution().unwrap_err();
         assert!(err.contains("INFEASIBLE"));
