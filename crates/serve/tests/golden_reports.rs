@@ -18,9 +18,9 @@ use flashmem_core::FlashMemConfig;
 use flashmem_gpu_sim::{DeviceSpec, FaultPlan};
 use flashmem_graph::ModelZoo;
 use flashmem_serve::{
-    ArrivalPattern, BatchConfig, DecodeEngine, DecodeWorkloadSpec, EdfPolicy, FifoPolicy,
-    OverloadControl, PreemptivePriorityPolicy, PriorityPolicy, RecoveryControl, ServeEngine,
-    ServeReport, ServeRequest, TraceConfig, WorkloadSpec,
+    ArrivalPattern, BatchConfig, DeadlinePreemptivePolicy, DecodeEngine, DecodeWorkloadSpec,
+    EdfPolicy, FifoPolicy, OverloadControl, PreemptivePriorityPolicy, PriorityPolicy,
+    RecoveryControl, ServeEngine, ServeReport, ServeRequest, TraceConfig, WorkloadSpec,
 };
 
 /// The bursty two-model workload of the fleet-parallel oracles.
@@ -133,6 +133,64 @@ fn serve_overload_report_is_pinned() {
     });
     assert!(report.rejected() > 0, "the case must shed\n{report}");
     assert!(report.stolen() > 0, "the case must steal\n{report}");
+}
+
+#[test]
+fn serve_preemptive_bounded_report_is_pinned() {
+    // Rising priorities on a bounded queue: the preemption phase ranks only
+    // arrivals that already passed the shed check.
+    let requests: Vec<ServeRequest> = serve_workload(12, 0x601D_0008)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            r.with_arrival_ms(10.0 * i as f64)
+                .with_priority((i / 3) as u8)
+        })
+        .collect();
+    let report = check("serve preemptive bounded", 0xfbc6_7c31_c094_2846, |pool| {
+        ServeEngine::new(two_device_fleet(), FlashMemConfig::memory_priority())
+            .with_policy(Box::new(PreemptivePriorityPolicy::new()))
+            .with_overload_control(OverloadControl::disabled().with_queue_bound(2))
+            .with_trace(TraceConfig::enabled())
+            .run_on(pool, &requests)
+            .expect("bounded preemptive run succeeds")
+    });
+    assert!(report.preemptions > 0, "the case must preempt\n{report}");
+    assert!(report.rejected() > 0, "the case must shed\n{report}");
+}
+
+#[test]
+fn serve_deadline_preemptive_report_is_pinned() {
+    // Every other arrival carries a deadline that waiting out the running
+    // deadline-less work would miss, under a policy that ranks by predicted
+    // service time.
+    let requests: Vec<ServeRequest> = serve_workload(12, 0x601D_0009)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let r = r.with_arrival_ms(40.0 * i as f64);
+            if i % 2 == 1 {
+                r.with_deadline_ms(600.0)
+            } else {
+                r
+            }
+        })
+        .collect();
+    let report = check("serve deadline preemptive", 0xac6b_787a_954c_deeb, |pool| {
+        ServeEngine::new(two_device_fleet(), FlashMemConfig::memory_priority())
+            .with_policy(Box::new(DeadlinePreemptivePolicy::new()))
+            .with_trace(TraceConfig::enabled())
+            .run_on(pool, &requests)
+            .expect("deadline preemptive run succeeds")
+    });
+    assert!(report.preemptions > 0, "the case must preempt\n{report}");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .any(|o| o.admission_laxity_ms.is_some()),
+        "the case must use service estimates\n{report}"
+    );
 }
 
 #[test]
