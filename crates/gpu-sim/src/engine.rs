@@ -9,6 +9,7 @@
 //! recorded in a [`MemoryTracker`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use flashmem_trace::{TraceKind, TraceLane, TraceRecorder};
 use serde::{Deserialize, Serialize};
@@ -88,8 +89,9 @@ pub enum CommandKind {
 /// A command plus its scheduling metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Command {
-    /// Human readable label used in the timeline.
-    pub label: String,
+    /// Human readable label used in the timeline. Shared, so every
+    /// timeline event a stepped command records reuses it without copying.
+    pub label: Arc<str>,
     /// The operation.
     pub kind: CommandKind,
     /// Commands that must complete before this one starts.
@@ -100,7 +102,7 @@ impl Command {
     /// Convenience constructor for an allocation command.
     pub fn alloc(label: &str, tier: MemoryTier, bytes: u64, deps: &[CommandId]) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Alloc { tier, bytes },
             deps: deps.to_vec(),
         }
@@ -109,7 +111,7 @@ impl Command {
     /// Convenience constructor for a free command.
     pub fn free(label: &str, alloc: CommandId, deps: &[CommandId]) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Free { alloc },
             deps: deps.to_vec(),
         }
@@ -124,7 +126,7 @@ impl Command {
         deps: &[CommandId],
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Transfer { bytes, from, to },
             deps: deps.to_vec(),
         }
@@ -139,7 +141,7 @@ impl Command {
         deps: &[CommandId],
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Transform {
                 bytes,
                 traffic_factor,
@@ -157,7 +159,7 @@ impl Command {
         deps: &[CommandId],
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Kernel {
                 desc,
                 extra_load_bytes,
@@ -169,7 +171,7 @@ impl Command {
     /// Convenience constructor for a barrier.
     pub fn barrier(label: &str, deps: &[CommandId]) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Barrier,
             deps: deps.to_vec(),
         }
@@ -381,9 +383,15 @@ impl StepEvent {
 /// per-command granularity. The monolithic executor is itself implemented on
 /// top of the stepper, so stepping a stream to completion against fresh
 /// clocks is *bit-for-bit* identical to `execute_with_tracker`.
+///
+/// The stream itself is immutable and held behind an [`Arc`]: a stepper's
+/// progress lives entirely in its own cursor, finish times, allocations and
+/// timeline. A server lowers each model once per device run and hands every
+/// admitted request a clone of the same `Arc`, so admission costs a
+/// refcount bump instead of a lowering.
 #[derive(Debug, Clone)]
 pub struct StreamStepper {
-    stream: CommandStream,
+    stream: Arc<CommandStream>,
     next: usize,
     finish: Vec<f64>,
     allocs: HashMap<CommandId, (MemoryTier, AllocationId)>,
@@ -393,12 +401,15 @@ pub struct StreamStepper {
 }
 
 impl StreamStepper {
-    /// Wrap a validated stream for stepping.
+    /// Wrap a validated stream for stepping. Accepts an owned stream or a
+    /// shared `Arc<CommandStream>`; many steppers may step one shared stream
+    /// independently.
     ///
     /// # Errors
     ///
     /// Propagates [`CommandStream::validate`] errors.
-    pub fn new(stream: CommandStream) -> SimResult<Self> {
+    pub fn new(stream: impl Into<Arc<CommandStream>>) -> SimResult<Self> {
+        let stream = stream.into();
         stream.validate()?;
         let len = stream.len();
         Ok(StreamStepper {
@@ -1503,6 +1514,70 @@ mod tests {
             stepper.step(&sim, &mut clocks, &mut tracker, 0.0).unwrap();
         }
         assert_eq!(tracker.total_in_use(), 0);
+    }
+
+    /// Step the first `steps` commands of `stepper` on fresh queues and a
+    /// fresh tracker, then suspend it, evicting its residency.
+    fn step_then_evict(
+        sim: &GpuSimulator,
+        mut stepper: StreamStepper,
+        steps: usize,
+    ) -> (Suspension, MemoryTracker, QueueClocks) {
+        let mut tracker = MemoryTracker::for_device(sim.device());
+        let mut clocks = QueueClocks::new();
+        for _ in 0..steps {
+            stepper.step(sim, &mut clocks, &mut tracker, 0.0).unwrap();
+        }
+        let now = clocks.horizon_ms();
+        let suspension = stepper
+            .suspend_evicting(&clocks, &mut tracker, now, 0.0)
+            .unwrap();
+        (suspension, tracker, clocks)
+    }
+
+    /// Resume a [`step_then_evict`] suspension 10 ms after it was taken,
+    /// paying the full reload, and step it to completion.
+    fn resume_and_finish(
+        sim: &GpuSimulator,
+        (suspension, mut tracker, mut clocks): (Suspension, MemoryTracker, QueueClocks),
+    ) -> ExecutionOutcome {
+        let at = suspension.suspended_at_ms() + 10.0;
+        let (mut stepper, penalty) = suspension
+            .resume_into(sim, &mut tracker, at, 0.0, &PreemptionCost::reload())
+            .unwrap();
+        assert!(penalty > 0.0);
+        while !stepper.is_done() {
+            stepper.step(sim, &mut clocks, &mut tracker, 0.0).unwrap();
+        }
+        stepper.finish(sim, &mut tracker)
+    }
+
+    #[test]
+    fn steppers_sharing_one_stream_match_an_owned_stream() {
+        let sim = simulator();
+        let shared = Arc::new(streaming_like_stream());
+        let owned = |steps: usize| {
+            let stepper = StreamStepper::new(CommandStream::clone(&shared)).unwrap();
+            format!(
+                "{:?}",
+                resume_and_finish(&sim, step_then_evict(&sim, stepper, steps))
+            )
+        };
+
+        // Both shared steppers are alive at once: `a` stays suspended while
+        // `b` is suspended at another boundary, resumed and run to the end.
+        let a = step_then_evict(&sim, StreamStepper::new(Arc::clone(&shared)).unwrap(), 2);
+        let b = step_then_evict(&sim, StreamStepper::new(Arc::clone(&shared)).unwrap(), 4);
+        assert_eq!(Arc::strong_count(&shared), 3);
+        let b = format!("{:?}", resume_and_finish(&sim, b));
+        let a = format!("{:?}", resume_and_finish(&sim, a));
+
+        // `Debug` prints every float in its round-trip form, so equal
+        // renderings are bit-identical outcomes.
+        assert_eq!(a, owned(2));
+        assert_eq!(b, owned(4));
+        assert_ne!(a, b);
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

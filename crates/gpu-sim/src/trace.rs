@@ -4,6 +4,8 @@
 //! time under multi-model workloads) and the Peak / Avg. columns of Tables 1
 //! and 8.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// One sample of total memory usage at a simulated timestamp.
@@ -170,8 +172,9 @@ pub enum EventKind {
 /// One completed activity on the simulated timeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionEvent {
-    /// Label (kernel or weight name).
-    pub label: String,
+    /// Label (kernel or weight name), shared with the command that
+    /// produced the event.
+    pub label: Arc<str>,
     /// Activity kind.
     pub kind: EventKind,
     /// Start time in milliseconds.

@@ -4,12 +4,18 @@
 //!
 //! ## How time advances
 //!
-//! Every admitted request owns a [`StreamStepper`] over its lowered command
-//! stream. Devices are independent timelines; on each device the loop
-//! repeatedly (1) preempts in-flight work if the policy allows and a waiting
-//! request outranks it, (2) admits arrived requests into free slots in
-//! policy order, then (3) advances whichever in-flight stepper can start its
-//! next command earliest on the shared [`QueueClocks`]. One inference's disk
+//! Every admitted request owns a [`StreamStepper`] over its model's lowered
+//! command stream. A device run lowers each (model, device) plan once, the
+//! first time it needs it, and every later admission of that model steps the
+//! same shared `Arc<CommandStream>`: a lowering depends only on the plan,
+//! the device and the config, and a stepper keeps all of its progress
+//! outside the stream.
+//!
+//! Devices are independent timelines; on each device the loop repeatedly
+//! (1) preempts in-flight work if the policy allows and a waiting request
+//! outranks it, (2) admits arrived requests into free slots in policy
+//! order, then (3) advances whichever in-flight stepper can start its next
+//! command earliest on the shared [`QueueClocks`]. One inference's disk
 //! loads therefore fill transfer-queue gaps left by another inference's
 //! kernels — per-layer interleaving, not back-to-back replay.
 //!
@@ -187,7 +193,11 @@ pub fn predicted_service_ms(
     device: &DeviceSpec,
     config: &FlashMemConfig,
 ) -> f64 {
-    let stream = lower_artifact(artifact, model, device, config);
+    uncontended_makespan_ms(lower_artifact(artifact, model, device, config), device)
+}
+
+/// [`predicted_service_ms`] of an already lowered stream.
+fn uncontended_makespan_ms(stream: impl Into<Arc<CommandStream>>, device: &DeviceSpec) -> f64 {
     let sim = GpuSimulator::new(device.clone(), SimConfig::default());
     let mut tracker = MemoryTracker::for_device(device);
     let mut clocks = QueueClocks::new();
@@ -227,6 +237,10 @@ fn plan_resident_bytes(weights: &[flashmem_core::WeightSchedule]) -> u64 {
 /// already passed the bounded-queue shed check (`Some` only when a queue
 /// bound is configured): an arrival the loop has not yet observed might be
 /// about to be shed, and must not trigger a preemption first.
+///
+/// `pending` is sorted by `(arrival_ms, seq)` and only ever shrinks, so the
+/// arrived requests are a prefix of it: the scan stops at the first future
+/// arrival instead of walking the whole list.
 fn arrived_candidates(
     pending: &[(usize, &ServeRequest)],
     suspended: &[Suspended],
@@ -235,9 +249,16 @@ fn arrived_candidates(
     estimates: &HashMap<usize, f64>,
     gate: Option<&HashSet<usize>>,
 ) -> Vec<PendingEntry> {
+    debug_assert!(
+        pending
+            .windows(2)
+            .all(|w| (w[0].1.arrival_ms, w[0].0) <= (w[1].1.arrival_ms, w[1].0)),
+        "pending must stay sorted by (arrival_ms, seq)"
+    );
     let mut candidates: Vec<PendingEntry> = pending
         .iter()
-        .filter(|(seq, r)| r.arrival_ms <= now && gate.is_none_or(|g| g.contains(seq)))
+        .take_while(|(_, r)| r.arrival_ms <= now)
+        .filter(|(seq, _)| gate.is_none_or(|g| g.contains(seq)))
         .map(|(seq, r)| PendingEntry {
             seq: *seq,
             priority: r.priority,
@@ -266,7 +287,7 @@ fn arrived_candidates(
 /// `Clone` exists for device loss, which snapshots the meta of stranded work
 /// so the recovery planner can either resume it elsewhere or finalize its
 /// typed-failure outcome.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct FlightMeta {
     seq: usize,
     abbr: String,
@@ -692,6 +713,22 @@ impl ServeEngine {
         }
     }
 
+    /// The lowered command stream of `artifact` (compiled under plan-cache
+    /// `key`), lowering it only the first time this device run sees `key`.
+    fn lowered(
+        &self,
+        memo: &mut HashMap<u64, Arc<CommandStream>>,
+        key: u64,
+        artifact: &CompiledArtifact,
+        model: &ModelSpec,
+        device: &DeviceSpec,
+    ) -> Arc<CommandStream> {
+        Arc::clone(
+            memo.entry(key)
+                .or_insert_with(|| Arc::new(lower_artifact(artifact, model, device, &self.config))),
+        )
+    }
+
     /// Observe every arrival up to `now` (pending is sorted by arrival, so
     /// this walks a prefix), shedding past the queue bound and tracking the
     /// queue-depth high-water mark. Runs at each scheduling boundary of the
@@ -830,13 +867,12 @@ impl ServeEngine {
         let mut work: Vec<ServeWork<'_>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
         let mut stolen_from: HashMap<usize, usize> = HashMap::new();
         if self.overload.uses_estimates() {
-            let mut memo: HashMap<(String, usize), f64> = HashMap::new();
+            let mut memo: HashMap<(u64, usize), f64> = HashMap::new();
             let mut predict = |model: &ModelSpec, d: usize| -> f64 {
-                *memo.entry((model.abbr.clone(), d)).or_insert_with(|| {
-                    match self
-                        .cache
-                        .compile(&fleet.devices[d].engine, model, &self.fleet[d])
-                    {
+                let engine = &fleet.devices[d].engine;
+                let key = ArtifactCache::key_for(engine, model, &self.fleet[d]);
+                *memo.entry((key, d)).or_insert_with(|| {
+                    match self.cache.compile(engine, model, &self.fleet[d]) {
                         Ok((artifact, _)) => {
                             predicted_service_ms(&artifact, model, &self.fleet[d], &self.config)
                         }
@@ -1007,19 +1043,25 @@ impl ServeEngine {
                 .then(a.0.cmp(&b.0))
         });
 
+        // Lowered command streams, one per plan-cache key: a lowering is a
+        // pure function of (plan, device, config), and plan, device and
+        // config are fixed within one device run, so every admission of a
+        // model steps a clone of the same shared stream.
+        let mut lowered: HashMap<u64, Arc<CommandStream>> = HashMap::new();
+
         // Static per-request scheduling inputs. Absolute deadlines are cheap
         // and always resolved; service-time predictions cost one uncontended
         // stream replay per distinct model, so they are only computed when
         // the policy asks ([`SchedulePolicy::uses_estimates`]) and are
-        // memoized by model abbreviation (plan, device and config are fixed
-        // within one device run). Prediction compiles through the shared
+        // memoized by plan-cache key. Prediction compiles through the shared
         // plan cache on purpose: the artifact is needed again at admission,
         // and solving LC-OPG twice to keep the hit counters pristine would
         // double the expensive part. Under estimate-using policies the
         // admission-time compile of each model is therefore always a cache
-        // hit (the precompute paid the miss).
+        // hit (the precompute paid the miss), and its lowering is already
+        // memoized.
         let uses_estimates = self.policy.uses_estimates();
-        let mut service_memo: HashMap<String, f64> = HashMap::new();
+        let mut service_memo: HashMap<u64, f64> = HashMap::new();
         let mut deadlines: HashMap<usize, Option<f64>> = HashMap::new();
         let mut estimates: HashMap<usize, f64> = HashMap::new();
         for (seq, request) in &pending {
@@ -1038,20 +1080,18 @@ impl ServeEngine {
             };
             deadlines.insert(*seq, deadline);
             let estimate = if uses_estimates {
-                *service_memo
-                    .entry(request.model.abbr.clone())
-                    .or_insert_with(|| {
-                        match self.cache.compile(engine, &request.model, device) {
-                            Ok((artifact, _)) => predicted_service_ms(
-                                &artifact,
-                                &request.model,
-                                device,
-                                &self.config,
-                            ),
-                            // Compilation failures surface at admission.
-                            Err(_) => 0.0,
+                let key = ArtifactCache::key_for(engine, &request.model, device);
+                *service_memo.entry(key).or_insert_with(|| {
+                    match self.cache.compile(engine, &request.model, device) {
+                        Ok((artifact, _)) => {
+                            let stream =
+                                self.lowered(&mut lowered, key, &artifact, &request.model, device);
+                            uncontended_makespan_ms(stream, device)
                         }
-                    })
+                        // Compilation failures surface at admission.
+                        Err(_) => 0.0,
+                    }
+                })
             } else {
                 0.0
             };
@@ -1246,10 +1286,7 @@ impl ServeEngine {
                     // the later of "now" and the earliest pending arrival.
                     // (Never re-based while work is suspended — suspension
                     // snapshots reference the current epoch's local times.)
-                    let earliest = pending
-                        .iter()
-                        .map(|(_, r)| r.arrival_ms)
-                        .fold(f64::INFINITY, f64::min);
+                    let earliest = pending.first().map_or(f64::INFINITY, |(_, r)| r.arrival_ms);
                     epoch = (epoch + clocks.horizon_ms()).max(earliest);
                     clocks.reset();
                 }
@@ -1276,8 +1313,9 @@ impl ServeEngine {
                     // idle re-base above already jumped to the earliest
                     // arrival, re-dispatch floors included.
                     let earliest = pending
-                        .iter()
+                        .first()
                         .map(|(_, r)| r.arrival_ms)
+                        .into_iter()
                         .chain(suspended.iter().map(|s| s.ready_ms))
                         .fold(f64::INFINITY, f64::min);
                     if earliest.is_finite() {
@@ -1395,8 +1433,8 @@ impl ServeEngine {
                     // Report warmth-at-run-start (the prologue snapshot),
                     // not `compile`'s racy mid-run flag: at pool width > 1
                     // that flag records which device won the compile race.
-                    let cache_hit =
-                        warm.contains(&ArtifactCache::key_for(engine, &request.model, device));
+                    let key = ArtifactCache::key_for(engine, &request.model, device);
+                    let cache_hit = warm.contains(&key);
                     let artifact = match self.cache.compile_traced(
                         engine,
                         &request.model,
@@ -1462,7 +1500,7 @@ impl ServeEngine {
                     if enqueued.remove(&seq) {
                         queued -= 1;
                     }
-                    let stream = lower_artifact(&artifact, &request.model, device, &self.config);
+                    let stream = self.lowered(&mut lowered, key, &artifact, &request.model, device);
                     let total_commands = stream.len();
                     let floor = (request.arrival_ms - epoch).max(0.0);
                     let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
@@ -2386,6 +2424,103 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn bounded_scan_matches_the_full_filter() {
+        // The scan every candidate list came from before the bounded one:
+        // filter the whole pending list, then append the ready suspensions.
+        fn full_filter(
+            pending: &[(usize, &ServeRequest)],
+            suspended: &[Suspended],
+            now: f64,
+            deadlines: &HashMap<usize, Option<f64>>,
+            estimates: &HashMap<usize, f64>,
+            gate: Option<&HashSet<usize>>,
+        ) -> Vec<PendingEntry> {
+            let mut candidates: Vec<PendingEntry> = pending
+                .iter()
+                .filter(|(seq, r)| r.arrival_ms <= now && gate.is_none_or(|g| g.contains(seq)))
+                .map(|(seq, r)| PendingEntry {
+                    seq: *seq,
+                    priority: r.priority,
+                    arrival_ms: r.arrival_ms,
+                    deadline_ms: deadlines.get(seq).copied().flatten(),
+                    estimated_remaining_ms: estimates.get(seq).copied().unwrap_or(0.0),
+                })
+                .collect();
+            candidates.extend(suspended.iter().filter(|s| s.ready_ms <= now).map(|s| {
+                PendingEntry {
+                    seq: s.meta.seq,
+                    priority: s.meta.priority,
+                    arrival_ms: s.meta.arrival_ms,
+                    deadline_ms: s.meta.absolute_deadline_ms(),
+                    estimated_remaining_ms: s.meta.estimated_remaining_ms(s.suspension.remaining()),
+                }
+            }));
+            candidates
+        }
+
+        // Tied arrivals at 10 and 30 ms, with seq breaking the ties.
+        let model = ModelZoo::vit();
+        let arrivals = [0.0, 10.0, 10.0, 10.0, 20.0, 30.0, 30.0, 45.0];
+        let requests: Vec<ServeRequest> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &arrival)| {
+                ServeRequest::new(model.clone(), "t")
+                    .with_arrival_ms(arrival)
+                    .with_priority((i % 3) as u8)
+            })
+            .collect();
+        let mut pending: Vec<(usize, &ServeRequest)> = requests.iter().enumerate().collect();
+        pending.remove(2);
+        let deadlines: HashMap<usize, Option<f64>> = (0..arrivals.len())
+            .map(|seq| (seq, Some(100.0 + seq as f64)))
+            .collect();
+        let estimates: HashMap<usize, f64> = (0..arrivals.len())
+            .map(|seq| (seq, 5.0 * seq as f64))
+            .collect();
+        let gate: HashSet<usize> = [0, 1, 3, 6].into_iter().collect();
+
+        // One suspension always ready, one backing off until 25 ms.
+        let mut stream = CommandStream::new();
+        stream.push(flashmem_gpu_sim::engine::Command::barrier("b", &[]));
+        let suspension = || {
+            StreamStepper::new(stream.clone())
+                .unwrap()
+                .suspend(&QueueClocks::new(), 0.0)
+        };
+        let suspended_at = |seq: usize, ready_ms: f64| Suspended {
+            meta: FlightMeta {
+                seq,
+                priority: 2,
+                arrival_ms: 1.0,
+                deadline_ms: Some(50.0),
+                predicted_ms: 8.0,
+                total_commands: 2,
+                ..FlightMeta::default()
+            },
+            suspended_at_ms: 1.0,
+            suspension: suspension(),
+            ready_ms,
+        };
+        let suspended = vec![
+            suspended_at(100, f64::NEG_INFINITY),
+            suspended_at(101, 25.0),
+        ];
+
+        let mut checked = 0;
+        for now in [-1.0, 0.0, 5.0, 10.0, 20.0, 25.0, 30.0, 44.9, 45.0, 1e9] {
+            for gate in [None, Some(&gate)] {
+                let bounded =
+                    arrived_candidates(&pending, &suspended, now, &deadlines, &estimates, gate);
+                let full = full_filter(&pending, &suspended, now, &deadlines, &estimates, gate);
+                assert_eq!(bounded, full, "now {now}, gated {}", gate.is_some());
+                checked += bounded.len();
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]
