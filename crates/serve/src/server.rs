@@ -2428,8 +2428,8 @@ mod tests {
 
     #[test]
     fn bounded_scan_matches_the_full_filter() {
-        // The scan every candidate list came from before the bounded one:
-        // filter the whole pending list, then append the ready suspensions.
+        // Reference scan that needs no ordering: filter the whole pending
+        // list, then append the ready suspensions.
         fn full_filter(
             pending: &[(usize, &ServeRequest)],
             suspended: &[Suspended],
