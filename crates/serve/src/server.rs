@@ -860,9 +860,11 @@ impl ServeEngine {
         // Both stages run on the caller thread in submission order — the
         // same commit-point discipline as placement, which is what keeps
         // every shed/steal decision byte-identical at any pool width.
-        // Service-time predictions are memoized per (model, device) and
-        // compile through the shared cache, sequentially, so the cache
-        // hit/miss counters stay schedule-independent too.
+        // Service-time predictions are memoized per (plan-cache key, device
+        // index) and compile through the shared cache, sequentially, so the
+        // cache hit/miss counters stay schedule-independent too. Same-spec
+        // devices share a plan-cache key, so the device index stays in the
+        // memo key: each device probes the cache once.
         let mut rejected: HashSet<usize> = HashSet::new();
         let mut work: Vec<ServeWork<'_>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
         let mut stolen_from: HashMap<usize, usize> = HashMap::new();
