@@ -19,9 +19,11 @@ use flashmem_gpu_sim::{DeviceSpec, FaultPlan};
 use flashmem_graph::ModelZoo;
 use flashmem_serve::{
     ArrivalPattern, BatchConfig, DeadlinePreemptivePolicy, DecodeEngine, DecodeWorkloadSpec,
-    EdfPolicy, FifoPolicy, OverloadControl, PreemptivePriorityPolicy, PriorityPolicy,
+    EdfPolicy, FailureCause, FifoPolicy, OverloadControl, PreemptivePriorityPolicy, PriorityPolicy,
     RecoveryControl, ServeEngine, ServeReport, ServeRequest, TraceConfig, WorkloadSpec,
 };
+
+const MIB: u64 = 1024 * 1024;
 
 /// The bursty two-model workload of the fleet-parallel oracles.
 fn serve_workload(requests: usize, seed: u64) -> Vec<ServeRequest> {
@@ -229,6 +231,74 @@ fn serve_chaos_report_is_pinned() {
         "the case must quarantine\n{report}"
     );
     assert!(recovery.probes > 0, "the case must probe\n{report}");
+}
+
+#[test]
+fn serve_fifo_chaos_report_is_pinned() {
+    // Exclusive FIFO under injected faults: the device loss and the flaky
+    // kernels retire attempts through the exclusive-mode fault path, and
+    // the tenant cap defers work behind its own in-flight request.
+    let requests = serve_workload(12, 0x601D_000A);
+    let report = check("serve fifo chaos", 0x0fbb_b8df_8c54_f4d5, |pool| {
+        ServeEngine::new(two_device_fleet(), FlashMemConfig::memory_priority())
+            .with_policy(Box::new(FifoPolicy))
+            .with_tenant_cap("tenant-0", 1_600 * MIB)
+            .with_fault_plan(
+                FaultPlan::seeded(0x601D)
+                    .with_device_loss(0, 600.0)
+                    .with_flaky_device(1, 0.001),
+            )
+            .with_recovery_control(
+                RecoveryControl::disabled()
+                    .with_retry_budget(2)
+                    .with_backoff_ms(20.0),
+            )
+            .with_trace(TraceConfig::enabled())
+            .run_on(pool, &requests)
+            .expect("fifo chaos run succeeds")
+    });
+    assert!(report.recovery.retries > 0, "the case must retry\n{report}");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .any(|o| o.failure == Some(FailureCause::DeviceLost)),
+        "the case must lose work with its device\n{report}"
+    );
+}
+
+#[test]
+fn serve_midrun_oom_report_is_pinned() {
+    // Four large models in flight at once on one phone: a request whose
+    // working set no longer fits fails mid-run while the rest keep going.
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Bursty {
+            burst_size: 8,
+            gap_ms: 900.0,
+        },
+        requests: 8,
+        tenants: 2,
+        priority_levels: 2,
+        seed: 0x601D_000B,
+    }
+    .generate(&[ModelZoo::gptneo_2_7b(), ModelZoo::sd_unet()]);
+    let report = check("serve mid-run oom", 0x7618_020f_8efd_651e, |pool| {
+        ServeEngine::new(
+            vec![DeviceSpec::pixel_8()],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_policy(Box::new(PriorityPolicy::with_max_in_flight(4)))
+        .with_trace(TraceConfig::enabled())
+        .run_on(pool, &requests)
+        .expect("mid-run oom run succeeds")
+    });
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .any(|o| o.failure == Some(FailureCause::OutOfMemory)),
+        "the case must fail a request mid-run\n{report}"
+    );
 }
 
 #[test]
