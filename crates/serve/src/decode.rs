@@ -169,8 +169,7 @@ impl ActiveDecode {
     /// session's KV must already be released.
     fn into_outcome(
         self,
-        device: &str,
-        device_index: usize,
+        device: &Device<'_>,
         completion_ms: f64,
         peak_memory_mb: f64,
     ) -> RequestOutcome {
@@ -206,8 +205,8 @@ impl ActiveDecode {
             model: self.abbr,
             tenant: self.tenant,
             priority: self.priority,
-            device: device.to_string(),
-            device_index,
+            device: device.spec.name.clone(),
+            device_index: device.index,
             arrival_ms: self.arrival_ms,
             start_ms: self.start_ms,
             completion_ms,
@@ -353,12 +352,7 @@ fn push_entry(
     let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
     let retries = entry.retries;
     let hops = entry.hops;
-    let outcome = entry.into_outcome(
-        &device.spec.name,
-        device.index,
-        completion_ms,
-        peak_memory_mb,
-    );
+    let outcome = entry.into_outcome(device, completion_ms, peak_memory_mb);
     match fault {
         Some(kind) => orphans.push(Orphan {
             outcome,
@@ -599,6 +593,12 @@ impl DecodeEngine {
             }
             entry
         };
+        // The outcome row of an entry that failed while being admitted, at
+        // the tracker's peak so far.
+        let admission_failure = |mut entry: ActiveDecode, error, at_ms, tracker: &MemoryTracker| {
+            entry.error = Some(error);
+            entry.into_outcome(dev, at_ms, tracker.peak_bytes() as f64 / MIB)
+        };
         let mut waiting: Vec<(usize, &ServeRequest)> =
             work.iter().map(|a| (a.seq, a.request.as_ref())).collect();
         waiting.sort_by(|a, b| {
@@ -711,14 +711,8 @@ impl DecodeEngine {
                     widx += 1;
                     let abbr = request.model.abbr.clone();
                     if let Err(error) = self.ensure_plans(&mut plans, engine, request, device) {
-                        let mut entry = admit(seq, request, now);
-                        entry.error = Some(error);
-                        outcomes.push(entry.into_outcome(
-                            &device.name,
-                            device_index,
-                            now,
-                            tracker.peak_bytes() as f64 / MIB,
-                        ));
+                        let entry = admit(seq, request, now);
+                        outcomes.push(admission_failure(entry, error, now, &tracker));
                         continue;
                     }
                     let model_plans = plans.get(&abbr).expect("just ensured");
@@ -735,14 +729,8 @@ impl DecodeEngine {
                                     cost
                                 }
                                 Err(error) => {
-                                    let mut entry = admit(seq, request, now);
-                                    entry.error = Some(error);
-                                    outcomes.push(entry.into_outcome(
-                                        &device.name,
-                                        device_index,
-                                        now,
-                                        tracker.peak_bytes() as f64 / MIB,
-                                    ));
+                                    let entry = admit(seq, request, now);
+                                    outcomes.push(admission_failure(entry, error, now, &tracker));
                                     continue;
                                 }
                             }
@@ -784,14 +772,8 @@ impl DecodeEngine {
                     }
                     let label = format!("kv seq{seq} {abbr}");
                     if let Err(error) = entry.session.finish_prefill(&mut tracker, &label, end) {
-                        entry.error = Some(error);
                         let _ = entry.session.release(&mut tracker, end);
-                        outcomes.push(entry.into_outcome(
-                            &device.name,
-                            device_index,
-                            end,
-                            tracker.peak_bytes() as f64 / MIB,
-                        ));
+                        outcomes.push(admission_failure(entry, error, end, &tracker));
                         now = end;
                         continue;
                     }
@@ -947,16 +929,8 @@ impl DecodeEngine {
             makespan_ms: makespan,
             transfer_busy_ms: transfer_busy,
             compute_busy_ms: compute_busy,
-            transfer_busy_fraction: if makespan > 0.0 {
-                transfer_busy / makespan
-            } else {
-                0.0
-            },
-            compute_busy_fraction: if makespan > 0.0 {
-                compute_busy / makespan
-            } else {
-                0.0
-            },
+            transfer_busy_fraction: DeviceReport::busy_fraction(transfer_busy, makespan),
+            compute_busy_fraction: DeviceReport::busy_fraction(compute_busy, makespan),
             peak_memory_mb: tracker.peak_bytes() as f64 / MIB,
             queue_depth_high_water: high_water,
             memory_trace: tracker.trace().clone(),
@@ -1090,15 +1064,7 @@ fn budget_failure_outcome(
         ),
     };
     let at_ms = request.arrival_ms;
-    RequestOutcome::unstarted(
-        seq,
-        request,
-        &device.spec.name,
-        device.index,
-        at_ms,
-        at_ms,
-        Some(error),
-    )
+    RequestOutcome::unstarted(seq, request, device, at_ms, at_ms, Some(error))
 }
 
 #[cfg(test)]

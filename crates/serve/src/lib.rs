@@ -164,6 +164,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::too_many_lines)]
 
 pub mod decode;
 mod fleet;

@@ -25,6 +25,7 @@ use flashmem_core::ExecutionReport;
 use flashmem_gpu_sim::trace::MemoryTrace;
 use flashmem_gpu_sim::SimError;
 
+use crate::fleet::Device;
 use crate::request::{FailureCause, RejectCause, ServeRequest};
 
 /// Token-level result of a generative request served through the decode
@@ -162,8 +163,7 @@ impl RequestOutcome {
     pub(crate) fn unstarted(
         seq: usize,
         request: &ServeRequest,
-        device: &str,
-        device_index: usize,
+        device: &Device<'_>,
         arrival_ms: f64,
         at_ms: f64,
         error: Option<SimError>,
@@ -174,8 +174,8 @@ impl RequestOutcome {
             model: request.model.abbr.clone(),
             tenant: request.tenant.clone(),
             priority: request.priority,
-            device: device.to_string(),
-            device_index,
+            device: device.spec.name.clone(),
+            device_index: device.index,
             arrival_ms,
             start_ms: at_ms,
             completion_ms: at_ms,
@@ -308,6 +308,15 @@ pub struct DeviceReport {
 }
 
 impl DeviceReport {
+    /// `busy_ms` as a fraction of `makespan_ms`; 0.0 for an empty timeline.
+    pub(crate) fn busy_fraction(busy_ms: f64, makespan_ms: f64) -> f64 {
+        if makespan_ms > 0.0 {
+            busy_ms / makespan_ms
+        } else {
+            0.0
+        }
+    }
+
     /// Fold one recovery round's report into this accumulated one: counts and
     /// busy time sum, high-water marks take the max, busy fractions are
     /// recomputed against the merged makespan, and the memory traces stitch
@@ -320,16 +329,8 @@ impl DeviceReport {
         self.makespan_ms = self.makespan_ms.max(round.makespan_ms);
         self.transfer_busy_ms += round.transfer_busy_ms;
         self.compute_busy_ms += round.compute_busy_ms;
-        self.transfer_busy_fraction = if self.makespan_ms > 0.0 {
-            self.transfer_busy_ms / self.makespan_ms
-        } else {
-            0.0
-        };
-        self.compute_busy_fraction = if self.makespan_ms > 0.0 {
-            self.compute_busy_ms / self.makespan_ms
-        } else {
-            0.0
-        };
+        self.transfer_busy_fraction = Self::busy_fraction(self.transfer_busy_ms, self.makespan_ms);
+        self.compute_busy_fraction = Self::busy_fraction(self.compute_busy_ms, self.makespan_ms);
         self.peak_memory_mb = self.peak_memory_mb.max(round.peak_memory_mb);
         self.queue_depth_high_water = self
             .queue_depth_high_water
@@ -800,6 +801,34 @@ impl ServeReport {
             laxities.iter().sum::<f64>() / laxities.len() as f64
         }
     }
+
+    /// The SLO-attainment and preemption lines of the `Display` summary.
+    fn fmt_slo(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.slo.tracked > 0 {
+            writeln!(
+                f,
+                "SLO: {}/{} deadlines met ({:.0}% attainment), {} preemption{}",
+                self.slo.met,
+                self.slo.tracked,
+                100.0 * self.slo.attainment(),
+                self.preemptions,
+                if self.preemptions == 1 { "" } else { "s" }
+            )?;
+            if self.slo.missed() > 0 {
+                writeln!(
+                    f,
+                    "  misses by cause: {} queueing, {} execution, {} preemption, {} failed",
+                    self.slo.missed_queue_wait,
+                    self.slo.missed_execution,
+                    self.slo.missed_preemption,
+                    self.slo.missed_failed
+                )?;
+            }
+        } else if self.preemptions > 0 {
+            writeln!(f, "{} preemptions (no SLO deadlines set)", self.preemptions)?;
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for ServeReport {
@@ -871,29 +900,7 @@ impl std::fmt::Display for ServeReport {
                 p.priority, p.completed, p.latency.p50_ms, p.latency.p95_ms, p.latency.p99_ms
             )?;
         }
-        if self.slo.tracked > 0 {
-            writeln!(
-                f,
-                "SLO: {}/{} deadlines met ({:.0}% attainment), {} preemption{}",
-                self.slo.met,
-                self.slo.tracked,
-                100.0 * self.slo.attainment(),
-                self.preemptions,
-                if self.preemptions == 1 { "" } else { "s" }
-            )?;
-            if self.slo.missed() > 0 {
-                writeln!(
-                    f,
-                    "  misses by cause: {} queueing, {} execution, {} preemption, {} failed",
-                    self.slo.missed_queue_wait,
-                    self.slo.missed_execution,
-                    self.slo.missed_preemption,
-                    self.slo.missed_failed
-                )?;
-            }
-        } else if self.preemptions > 0 {
-            writeln!(f, "{} preemptions (no SLO deadlines set)", self.preemptions)?;
-        }
+        self.fmt_slo(f)?;
         for d in &self.devices {
             writeln!(
                 f,

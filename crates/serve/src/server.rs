@@ -11,13 +11,26 @@
 //! the device and the config, and a stepper keeps all of its progress
 //! outside the stream.
 //!
-//! Devices are independent timelines; on each device the loop repeatedly
-//! (1) preempts in-flight work if the policy allows and a waiting request
-//! outranks it, (2) admits arrived requests into free slots in policy
-//! order, then (3) advances whichever in-flight stepper can start its next
-//! command earliest on the shared [`QueueClocks`]. One inference's disk
-//! loads therefore fill transfer-queue gaps left by another inference's
-//! kernels — per-layer interleaving, not back-to-back replay.
+//! Devices are independent timelines. One device's share of a fleet round
+//! is a `ServeDeviceRun`: its memory tracker, [`QueueClocks`] and epoch,
+//! its pending queue, in-flight and suspended work, tenant ledger and
+//! outcomes. Its loop repeatedly (1) preempts in-flight work if the policy
+//! allows and a waiting request outranks it, (2) resumes or admits arrived
+//! requests into free slots in policy order, then (3) advances whichever
+//! in-flight stepper can start its next command earliest on the shared
+//! clocks. One inference's disk loads therefore fill transfer-queue gaps
+//! left by another inference's kernels — per-layer interleaving, not
+//! back-to-back replay.
+//!
+//! Every in-flight request leaves its device through one retirement path,
+//! `ServeDeviceRun::retire`, whether it completed, failed mid-run, took an
+//! injected fault or was stranded by device loss. It frees the stream's
+//! memory (or freezes it for failover), ends an exclusive-mode trace
+//! segment, returns the tenant reservation and extends the makespan. Every
+//! outcome, including that of a request that failed before it ran, is
+//! then traced and filed as final or, for an injected fault, handed to the
+//! recovery planner. A run that ends holding memory, or (unless its device
+//! was lost) a tenant reservation, panics.
 //!
 //! ## How the fleet advances
 //!
@@ -29,7 +42,7 @@
 //! 1. **Placement prologue (sequential).** [`SchedulePolicy::place`] assigns
 //!    every request to a device on the caller thread, in submission order —
 //!    placement may depend on global request order, so it never races.
-//!    Each device's runtime ([`FlashMem`]) and simulator
+//!    Each device's runtime ([`FlashMem`](flashmem_core::FlashMem)) and simulator
 //!    ([`GpuSimulator`]) are constructed once per run, not once per request.
 //! 2. **Parallel device stepping.** Each device with work runs `run_device`
 //!    as one pool job. Workers share the engine's [`ArtifactCache`], whose
@@ -96,7 +109,7 @@ use flashmem_core::engine::CompiledArtifact;
 use flashmem_core::executor::RUNTIME_OVERHEAD_BYTES;
 use flashmem_core::pool::{self, ThreadPool};
 use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
-use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig, KernelRewriter, StreamingExecutor};
+use flashmem_core::{ExecutionReport, FlashMemConfig, KernelRewriter, StreamingExecutor};
 use flashmem_gpu_sim::engine::{
     CommandStream, GpuSimulator, PreemptionCost, QueueClocks, QueueKind, SimConfig, StreamStepper,
     Suspension,
@@ -242,31 +255,31 @@ fn plan_resident_bytes(weights: &[flashmem_core::WeightSchedule]) -> u64 {
 /// arrived requests are a prefix of it: the scan stops at the first future
 /// arrival instead of walking the whole list.
 fn arrived_candidates(
-    pending: &[(usize, &ServeRequest)],
+    pending: &[Waiting<'_>],
     suspended: &[Suspended],
     now: f64,
-    deadlines: &HashMap<usize, Option<f64>>,
-    estimates: &HashMap<usize, f64>,
     gate: Option<&HashSet<usize>>,
 ) -> Vec<PendingEntry> {
     debug_assert!(
-        pending
-            .windows(2)
-            .all(|w| (w[0].1.arrival_ms, w[0].0) <= (w[1].1.arrival_ms, w[1].0)),
+        pending.windows(2).all(|w| {
+            (w[0].request.arrival_ms, w[0].seq) <= (w[1].request.arrival_ms, w[1].seq)
+        }),
         "pending must stay sorted by (arrival_ms, seq)"
     );
     let mut candidates: Vec<PendingEntry> = pending
         .iter()
-        .take_while(|(_, r)| r.arrival_ms <= now)
-        .filter(|(seq, _)| gate.is_none_or(|g| g.contains(seq)))
-        .map(|(seq, r)| PendingEntry {
-            seq: *seq,
-            priority: r.priority,
-            arrival_ms: r.arrival_ms,
-            deadline_ms: deadlines.get(seq).copied().flatten(),
-            estimated_remaining_ms: estimates.get(seq).copied().unwrap_or(0.0),
+        .take_while(|w| w.request.arrival_ms <= now)
+        .filter(|w| gate.is_none_or(|g| g.contains(&w.seq)))
+        .map(|w| PendingEntry {
+            seq: w.seq,
+            priority: w.request.priority,
+            arrival_ms: w.request.arrival_ms,
+            deadline_ms: w.deadline_ms,
+            estimated_remaining_ms: w.estimate_ms,
         })
         .collect();
+    // A suspended request competes at its original priority and arrival,
+    // with the predicted service time its stream has left.
     candidates.extend(
         suspended
             .iter()
@@ -280,6 +293,21 @@ fn arrived_candidates(
             }),
     );
     candidates
+}
+
+/// A request waiting on a device for admission, with the static scheduling
+/// inputs the policy ranks it by.
+#[derive(Clone, Copy)]
+struct Waiting<'r> {
+    seq: usize,
+    request: &'r ServeRequest,
+    /// The recovery state this attempt brings into the round.
+    carry: ServeCarry,
+    /// Absolute deadline on the device clock, counted from true submission.
+    deadline_ms: Option<f64>,
+    /// Predicted uncontended service time (0.0 unless the policy
+    /// [uses estimates](SchedulePolicy::uses_estimates)).
+    estimate_ms: f64,
 }
 
 /// Everything the loop knows about an admitted request except its execution
@@ -355,8 +383,7 @@ impl FlightMeta {
     /// `completion_ms`.
     fn into_outcome(
         self,
-        device: &str,
-        device_index: usize,
+        device: &Device<'_>,
         completion_ms: f64,
         peak_memory_mb: f64,
         error: Option<SimError>,
@@ -381,8 +408,8 @@ impl FlightMeta {
             model: self.abbr,
             tenant: self.tenant,
             priority: self.priority,
-            device: device.to_string(),
-            device_index,
+            device: device.spec.name.clone(),
+            device_index: device.index,
             arrival_ms: self.arrival_ms,
             start_ms: self.start_ms,
             completion_ms,
@@ -432,26 +459,13 @@ struct Suspended {
 /// recovery planner's ready floor; the carry remembers the *original*
 /// arrival (so latency and SLO accounting measure from true submission) and
 /// the recovery counters consumed so far.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct ServeCarry {
     original_arrival_ms: f64,
     retries: u32,
     hops: u32,
     failed_over: bool,
     stolen_from: Option<usize>,
-}
-
-/// A suspension the recovery planner failed over onto this device: seeded
-/// into the device loop's `suspended` list at round start so the ordinary
-/// resume path re-acquires its residency (and pays the reload penalty).
-struct SeededSuspension {
-    meta: FlightMeta,
-    suspension: Suspension,
-    /// Global time the work was stranded (the device-loss instant) — the
-    /// start of its `Suspended` span on the destination device.
-    suspended_at_ms: f64,
-    /// Backoff floor: earliest global time the resume may happen.
-    ready_ms: f64,
 }
 
 /// One device's share of a serve round.
@@ -464,8 +478,12 @@ struct ServeWork<'a> {
     /// instants are emitted by this device so the ordered merge stays the
     /// only commit point.
     prerejected: Vec<(usize, &'a ServeRequest, f64)>,
-    /// Suspensions the recovery planner failed over onto this device.
-    seeds: Vec<SeededSuspension>,
+    /// Suspensions the recovery planner failed over onto this device, each
+    /// suspended at the device-loss instant that stranded it and ready at
+    /// its backoff floor. They seed the device loop's suspended list, so the
+    /// ordinary resume path re-acquires their residency (and pays the
+    /// reload penalty).
+    seeds: Vec<Suspended>,
 }
 
 /// What a device-loss orphan resumes from: its in-flight state, when
@@ -656,12 +674,19 @@ impl ServeEngine {
     /// The device indices a fleet-capped tenant may run on: `shards`
     /// consecutive fleet slots starting at a stable hash of the tenant name.
     /// `None` for tenants without a fleet cap (any device).
-    fn shard_set(&self, tenant: &str, fleet_len: usize) -> Option<Vec<usize>> {
+    fn shard_set(&self, tenant: &str) -> Option<Vec<usize>> {
+        let fleet_len = self.fleet.len();
         self.fleet_tenant_caps.get(tenant).map(|cap| {
             let k = cap.shards.clamp(1, fleet_len);
             let start = (Fnv1a::new().write_str(tenant).finish() % fleet_len as u64) as usize;
             (0..k).map(|i| (start + i) % fleet_len).collect()
         })
+    }
+
+    /// The devices `tenant` may run on: its shard set, or the whole fleet.
+    fn allowed_devices(&self, tenant: &str) -> Vec<usize> {
+        self.shard_set(tenant)
+            .unwrap_or_else(|| (0..self.fleet.len()).collect())
     }
 
     /// The per-device resident-byte cap admission charges `tenant` against:
@@ -677,118 +702,6 @@ impl ServeEngine {
         match (per_device, per_shard) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
-    }
-
-    /// The outcome row of a request overload control shed: zero latency and
-    /// queue wait (it never occupied the device), no error — the typed
-    /// [`RejectCause`] is the whole story, and the metrics layer excludes
-    /// rejected requests from SLO accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn rejected_outcome(
-        &self,
-        seq: usize,
-        request: &ServeRequest,
-        device: &DeviceSpec,
-        device_index: usize,
-        cause: RejectCause,
-        admission_laxity_ms: Option<f64>,
-        stolen_from: Option<usize>,
-    ) -> RequestOutcome {
-        let at_ms = request.arrival_ms;
-        RequestOutcome {
-            deadline_ms: self.effective_deadline(request),
-            admission_laxity_ms,
-            rejected: Some(cause),
-            stolen_from,
-            ..RequestOutcome::unstarted(
-                seq,
-                request,
-                &device.name,
-                device_index,
-                at_ms,
-                at_ms,
-                None,
-            )
-        }
-    }
-
-    /// The lowered command stream of `artifact` (compiled under plan-cache
-    /// `key`), lowering it only the first time this device run sees `key`.
-    fn lowered(
-        &self,
-        memo: &mut HashMap<u64, Arc<CommandStream>>,
-        key: u64,
-        artifact: &CompiledArtifact,
-        model: &ModelSpec,
-        device: &DeviceSpec,
-    ) -> Arc<CommandStream> {
-        Arc::clone(
-            memo.entry(key)
-                .or_insert_with(|| Arc::new(lower_artifact(artifact, model, device, &self.config))),
-        )
-    }
-
-    /// Observe every arrival up to `now` (pending is sorted by arrival, so
-    /// this walks a prefix), shedding past the queue bound and tracking the
-    /// queue-depth high-water mark. Runs at each scheduling boundary of the
-    /// device loop; depth can only shrink at those same boundaries
-    /// (admissions), so processing the arrivals of a busy interval in
-    /// arrival order here reproduces the depth evolution exactly. A shed
-    /// request is rejected *at its own arrival instant* with
-    /// [`RejectCause::QueueFull`].
-    #[allow(clippy::too_many_arguments)]
-    fn observe_arrivals(
-        &self,
-        now: f64,
-        device: &DeviceSpec,
-        device_index: usize,
-        stolen: &HashMap<usize, usize>,
-        pending: &mut Vec<(usize, &ServeRequest)>,
-        enqueued: &mut HashSet<usize>,
-        queued: &mut usize,
-        high_water: &mut usize,
-        outcomes: &mut Vec<RequestOutcome>,
-        trace: &mut TraceRecorder,
-    ) {
-        let bound = self.overload.queue_bound;
-        let mut i = 0;
-        while i < pending.len() {
-            let (seq, request) = pending[i];
-            if request.arrival_ms > now {
-                break;
-            }
-            if enqueued.contains(&seq) {
-                i += 1;
-                continue;
-            }
-            if let Some(bound) = bound {
-                if *queued >= bound {
-                    pending.remove(i);
-                    outcomes.push(self.rejected_outcome(
-                        seq,
-                        request,
-                        device,
-                        device_index,
-                        RejectCause::QueueFull,
-                        None,
-                        stolen.get(&seq).copied(),
-                    ));
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Reject,
-                            TraceLane::Request(seq),
-                            &format!("reject {} (queue-full)", request.model.abbr),
-                            request.arrival_ms,
-                        );
-                    }
-                    continue;
-                }
-            }
-            enqueued.insert(seq);
-            *queued += 1;
-            *high_water = (*high_water).max(*queued);
-            i += 1;
         }
     }
 
@@ -845,7 +758,7 @@ impl ServeEngine {
             // A fleet-capped tenant is confined to its shard set, so the
             // per-shard sub-caps bound its fleet-wide footprint by
             // construction (see `with_fleet_tenant_cap`).
-            let device = match self.shard_set(&request.tenant, fleet_len) {
+            let device = match self.shard_set(&request.tenant) {
                 Some(allowed) => allowed[placed % allowed.len()],
                 None => placed,
             };
@@ -856,117 +769,12 @@ impl ServeEngine {
         // even when admission control / steal planning populate the cache.
         let warm = fleet.warmth(requests);
 
-        // ---- overload pipeline (sequential): admission control + steal ----
-        // Both stages run on the caller thread in submission order — the
-        // same commit-point discipline as placement, which is what keeps
-        // every shed/steal decision byte-identical at any pool width.
-        // Service-time predictions are memoized per (plan-cache key, device
-        // index) and compile through the shared cache, sequentially, so the
-        // cache hit/miss counters stay schedule-independent too. Same-spec
-        // devices share a plan-cache key, so the device index stays in the
-        // memo key: each device probes the cache once.
-        let mut rejected: HashSet<usize> = HashSet::new();
         let mut work: Vec<ServeWork<'_>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
-        let mut stolen_from: HashMap<usize, usize> = HashMap::new();
-        if self.overload.uses_estimates() {
-            let mut memo: HashMap<(u64, usize), f64> = HashMap::new();
-            let mut predict = |model: &ModelSpec, d: usize| -> f64 {
-                let engine = &fleet.devices[d].engine;
-                let key = ArtifactCache::key_for(engine, model, &self.fleet[d]);
-                *memo.entry((key, d)).or_insert_with(|| {
-                    match self.cache.compile(engine, model, &self.fleet[d]) {
-                        Ok((artifact, _)) => {
-                            predicted_service_ms(&artifact, model, &self.fleet[d], &self.config)
-                        }
-                        // Compilation failures surface at admission.
-                        Err(_) => 0.0,
-                    }
-                })
-            };
-
-            if self.overload.admission_control {
-                for (seq, request) in requests.iter().enumerate() {
-                    let Some(budget) = self.effective_deadline(request) else {
-                        continue;
-                    };
-                    let allowed = self
-                        .shard_set(&request.tenant, fleet_len)
-                        .unwrap_or_else(|| (0..fleet_len).collect());
-                    let best = allowed
-                        .iter()
-                        .map(|&d| predict(&request.model, d))
-                        .fold(f64::INFINITY, f64::min);
-                    // Provably unmeetable: the *uncontended* service time on
-                    // the best device this request may run on already
-                    // exceeds its latency budget, so its laxity is negative
-                    // on every shard before any queueing.
-                    if best.is_finite() && best > budget + 1e-9 {
-                        rejected.insert(seq);
-                        work[placement[seq]]
-                            .prerejected
-                            .push((seq, request, budget - best));
-                    }
-                }
-            }
-
-            if self.overload.steal {
-                // Discrete-event plan over the accepted requests in arrival
-                // order: each device is `max_in_flight` slots that free up
-                // after the predicted service time. A request that would
-                // queue at its home shard is re-placed onto the device that
-                // starts it strictly earliest (ties to the lowest fleet
-                // index); in-flight work is never moved — by the time a
-                // later arrival is planned, everything planned before it is
-                // already committed.
-                let slots = self.policy.max_in_flight().max(1);
-                let mut free: Vec<Vec<f64>> = vec![vec![0.0_f64; slots]; fleet_len];
-                let start_at = |free: &[Vec<f64>], d: usize, arrival: f64| -> f64 {
-                    arrival.max(free[d].iter().copied().fold(f64::INFINITY, f64::min))
-                };
-                let mut order: Vec<usize> = (0..requests.len())
-                    .filter(|seq| !rejected.contains(seq))
-                    .collect();
-                order.sort_by(|&a, &b| {
-                    requests[a]
-                        .arrival_ms
-                        .partial_cmp(&requests[b].arrival_ms)
-                        .expect("arrival times are finite")
-                        .then(a.cmp(&b))
-                });
-                for seq in order {
-                    let request = &requests[seq];
-                    let home = placement[seq];
-                    let mut dest = home;
-                    if start_at(&free, home, request.arrival_ms) > request.arrival_ms + 1e-9 {
-                        // The request would queue at home — it is stealable.
-                        let allowed = self
-                            .shard_set(&request.tenant, fleet_len)
-                            .unwrap_or_else(|| (0..fleet_len).collect());
-                        for d in allowed {
-                            if start_at(&free, d, request.arrival_ms) + 1e-9
-                                < start_at(&free, dest, request.arrival_ms)
-                            {
-                                dest = d;
-                            }
-                        }
-                    }
-                    if dest != home {
-                        stolen_from.insert(seq, home);
-                        placement[seq] = dest;
-                    }
-                    let start = start_at(&free, dest, request.arrival_ms);
-                    let service = predict(&request.model, dest);
-                    let mut slot = 0;
-                    for (i, &value) in free[dest].iter().enumerate() {
-                        if value < free[dest][slot] {
-                            slot = i;
-                        }
-                    }
-                    free[dest][slot] = start + service;
-                }
-            }
-        }
-
+        let (rejected, stolen_from) = if self.overload.uses_estimates() {
+            self.plan_overload(&fleet, requests, &mut placement, &mut work)
+        } else {
+            (HashSet::new(), HashMap::new())
+        };
         for (seq, request) in requests.iter().enumerate() {
             if !rejected.contains(&seq) {
                 work[placement[seq]]
@@ -988,596 +796,382 @@ impl ServeEngine {
         )
     }
 
-    /// Run one device's timeline for one round of the fleet driver, usually
-    /// on a pool worker: everything it touches is either owned by `work`,
-    /// local to this call, or a thread-safe shared structure (the plan
-    /// cache). The returned [`TraceRecorder`] is this device's private event
-    /// buffer, filled single-threaded here and merged (deterministically, in
-    /// fleet order) at the round's commit point.
+    /// The overload pipeline: admission control, then steal planning. Both
+    /// stages run on the caller thread in submission order — the same
+    /// commit-point discipline as placement, which is what keeps every
+    /// shed/steal decision byte-identical at any pool width. Service-time
+    /// predictions are memoized per (plan-cache key, device index) and
+    /// compile through the shared cache, sequentially, so the cache hit/miss
+    /// counters stay schedule-independent too. Same-spec devices share a
+    /// plan-cache key, so the device index stays in the memo key: each
+    /// device probes the cache once.
     ///
-    /// `warm` holds the plan-cache keys compiled when the round began;
-    /// `stolen` maps each request the steal planner re-placed to its home
-    /// device. Attempts an injected fault knocks out come back as orphans
-    /// for the recovery planner instead of final outcomes.
-    #[allow(clippy::too_many_lines)]
-    fn run_device(
+    /// Rejected requests are filed on their placed device's `prerejected`
+    /// list; stolen ones are re-placed in `placement`. Returns the rejected
+    /// seqs and, for each stolen request, its home device.
+    fn plan_overload<'q>(
         &self,
-        device: &Device<'_>,
-        warm: &HashSet<u64>,
-        work: ServeWork<'_>,
-        stolen: &HashMap<usize, usize>,
-    ) -> SimResult<DeviceRound<ServeResume>> {
-        let Device {
-            index: device_index,
-            spec: device,
-            engine,
-            sim,
-        } = device;
-        let device_index = *device_index;
-        let ServeWork {
-            assigned,
-            prerejected,
-            seeds,
-        } = work;
-        // Recovery state of re-dispatched attempts; empty in round 0.
-        let carry_map: HashMap<usize, ServeCarry> = assigned
-            .iter()
-            .filter_map(|a| a.carry.map(|carry| (a.seq, carry)))
-            .collect();
-        let lost_at_ms = self.fault_plan.device_loss_ms(device_index);
-        let draws_faults = !self.fault_plan.is_empty();
-        let mut orphans: Vec<Orphan<ServeResume>> = Vec::new();
-        let mut lost = false;
-        let mut trace = TraceRecorder::new(self.trace);
-        let mut tracker = MemoryTracker::for_device(device);
-        let slots = self.policy.max_in_flight().max(1);
-        let exclusive = slots == 1 && self.policy.preemption().is_none();
+        fleet: &Fleet<'_>,
+        requests: &'q [ServeRequest],
+        placement: &mut [usize],
+        work: &mut [ServeWork<'q>],
+    ) -> (HashSet<usize>, HashMap<usize, usize>) {
+        let fleet_len = self.fleet.len();
+        let mut rejected: HashSet<usize> = HashSet::new();
+        let mut stolen_from: HashMap<usize, usize> = HashMap::new();
+        let mut memo: HashMap<(u64, usize), f64> = HashMap::new();
+        let mut predict = |model: &ModelSpec, d: usize| -> f64 {
+            let engine = &fleet.devices[d].engine;
+            let key = ArtifactCache::key_for(engine, model, &self.fleet[d]);
+            *memo.entry((key, d)).or_insert_with(|| {
+                match self.cache.compile(engine, model, &self.fleet[d]) {
+                    Ok((artifact, _)) => {
+                        predicted_service_ms(&artifact, model, &self.fleet[d], &self.config)
+                    }
+                    // Compilation failures surface at admission.
+                    Err(_) => 0.0,
+                }
+            })
+        };
 
-        let total_assigned = assigned.len() + prerejected.len() + seeds.len();
-        let mut pending: Vec<(usize, &ServeRequest)> = assigned
+        if self.overload.admission_control {
+            for (seq, request) in requests.iter().enumerate() {
+                let Some(budget) = self.effective_deadline(request) else {
+                    continue;
+                };
+                let allowed = self.allowed_devices(&request.tenant);
+                let best = allowed
+                    .iter()
+                    .map(|&d| predict(&request.model, d))
+                    .fold(f64::INFINITY, f64::min);
+                // Provably unmeetable: the *uncontended* service time on
+                // the best device this request may run on already
+                // exceeds its latency budget, so its laxity is negative
+                // on every shard before any queueing.
+                if best.is_finite() && best > budget + 1e-9 {
+                    rejected.insert(seq);
+                    work[placement[seq]]
+                        .prerejected
+                        .push((seq, request, budget - best));
+                }
+            }
+        }
+
+        if self.overload.steal {
+            // Discrete-event plan over the accepted requests in arrival
+            // order: each device is `max_in_flight` slots that free up
+            // after the predicted service time. A request that would
+            // queue at its home shard is re-placed onto the device that
+            // starts it strictly earliest (ties to the lowest fleet
+            // index); in-flight work is never moved — by the time a
+            // later arrival is planned, everything planned before it is
+            // already committed.
+            let slots = self.policy.max_in_flight().max(1);
+            let mut free: Vec<Vec<f64>> = vec![vec![0.0_f64; slots]; fleet_len];
+            let start_at = |free: &[Vec<f64>], d: usize, arrival: f64| -> f64 {
+                arrival.max(free[d].iter().copied().fold(f64::INFINITY, f64::min))
+            };
+            let mut order: Vec<usize> = (0..requests.len())
+                .filter(|seq| !rejected.contains(seq))
+                .collect();
+            order.sort_by(|&a, &b| {
+                requests[a]
+                    .arrival_ms
+                    .partial_cmp(&requests[b].arrival_ms)
+                    .expect("arrival times are finite")
+                    .then(a.cmp(&b))
+            });
+            for seq in order {
+                let request = &requests[seq];
+                let home = placement[seq];
+                let mut dest = home;
+                if start_at(&free, home, request.arrival_ms) > request.arrival_ms + 1e-9 {
+                    // The request would queue at home — it is stealable.
+                    let allowed = self.allowed_devices(&request.tenant);
+                    for d in allowed {
+                        if start_at(&free, d, request.arrival_ms) + 1e-9
+                            < start_at(&free, dest, request.arrival_ms)
+                        {
+                            dest = d;
+                        }
+                    }
+                }
+                if dest != home {
+                    stolen_from.insert(seq, home);
+                    placement[seq] = dest;
+                }
+                let start = start_at(&free, dest, request.arrival_ms);
+                let service = predict(&request.model, dest);
+                // Into the earliest-free slot (the first of equals).
+                let frees = &mut free[dest];
+                let slot = (0..frees.len()).fold(0, |s, i| if frees[i] < frees[s] { i } else { s });
+                frees[slot] = start + service;
+            }
+        }
+        (rejected, stolen_from)
+    }
+}
+
+/// How an in-flight request leaves its device.
+enum Exit {
+    /// Its stream ran to the last command.
+    Done,
+    /// A modelled error (e.g. out of memory) failed it mid-run.
+    Failed(SimError),
+    /// An injected transient fault hit the command that would have started
+    /// at stream-local `at_ms`.
+    Faulted { kind: FaultKind, at_ms: f64 },
+    /// The device was lost at global `at_ms`.
+    Lost { at_ms: f64 },
+}
+
+/// One device's timeline for one round of the fleet driver: everything the
+/// device loop carries between scheduling boundaries. The loop is a
+/// sequence of phases on it — observe arrivals, preempt, resume/admit, step
+/// — and every request leaves through one of two doors: [`retire`] for an
+/// in-flight stream, which frees its memory, closes its exclusive-mode
+/// trace segment, returns its tenant reservation and extends the makespan;
+/// and [`settle`], which traces the outcome and routes it to the final
+/// outcomes or, for an injected fault, to the recovery planner.
+///
+/// [`retire`]: ServeDeviceRun::retire
+/// [`settle`]: ServeDeviceRun::settle
+struct ServeDeviceRun<'r> {
+    engine: &'r ServeEngine,
+    dev: &'r Device<'r>,
+    /// Plan-cache keys compiled when the round began.
+    warm: &'r HashSet<u64>,
+    /// Requests the steal planner re-placed: `seq → home device`.
+    stolen: &'r HashMap<usize, usize>,
+    /// Recovery state of re-dispatched attempts; empty in round 0.
+    carries: HashMap<usize, ServeCarry>,
+    slots: usize,
+    /// One non-preemptive slot: each request runs in run-local time and its
+    /// memory-trace segment is stitched onto `stitched` (module docs).
+    exclusive: bool,
+    bounded: bool,
+    draws_faults: bool,
+    lost_at_ms: Option<f64>,
+    lost: bool,
+    trace: TraceRecorder,
+    tracker: MemoryTracker,
+    clocks: QueueClocks,
+    /// Global time of the queue clocks' origin.
+    epoch: f64,
+    stitched: MemoryTrace,
+    /// Requests not yet admitted, sorted by `(arrival_ms, seq)`.
+    pending: Vec<Waiting<'r>>,
+    /// Bounded-queue bookkeeping: the pending requests the loop has observed
+    /// arriving (and not shed) — the live queue — and its high-water mark.
+    enqueued: HashSet<usize>,
+    queue_high_water: usize,
+    in_flight: Vec<InFlight>,
+    suspended: Vec<Suspended>,
+    /// Admission counter: the step phase's tie-break between equal starts.
+    admit_order: usize,
+    /// Estimated resident bytes each tenant holds here, in flight or
+    /// suspended — the ledger tenant caps are checked against.
+    tenant_bytes: HashMap<String, u64>,
+    /// Lowered command streams, one per plan-cache key: a lowering is a pure
+    /// function of (plan, device, config), and plan, device and config are
+    /// fixed within one device run, so every admission of a model steps the
+    /// same shared stream.
+    lowered: HashMap<u64, Arc<CommandStream>>,
+    /// Resident-byte estimates computed by the preemption phase's
+    /// feasibility checks, memoized per request seq.
+    estimate_memo: HashMap<usize, u64>,
+    outcomes: Vec<RequestOutcome>,
+    orphans: Vec<Orphan<ServeResume>>,
+    transfer_busy: f64,
+    compute_busy: f64,
+    makespan: f64,
+}
+
+impl<'r> ServeDeviceRun<'r> {
+    fn new(
+        engine: &'r ServeEngine,
+        dev: &'r Device<'r>,
+        warm: &'r HashSet<u64>,
+        stolen: &'r HashMap<usize, usize>,
+        assigned: &'r [Attempt<'_, ServeCarry>],
+    ) -> Self {
+        let slots = engine.policy.max_in_flight().max(1);
+        let mut pending: Vec<Waiting<'r>> = assigned
             .iter()
-            .map(|a| (a.seq, a.request.as_ref()))
+            .map(|a| {
+                let request = a.request.as_ref();
+                let mut carry = a.carry.unwrap_or(ServeCarry {
+                    original_arrival_ms: request.arrival_ms,
+                    ..ServeCarry::default()
+                });
+                carry.stolen_from = carry.stolen_from.or_else(|| stolen.get(&a.seq).copied());
+                // Re-dispatched requests arrive at the recovery planner's
+                // ready floor, but their deadline clock started at true
+                // submission.
+                let deadline_ms = engine.effective_deadline(request);
+                Waiting {
+                    seq: a.seq,
+                    request,
+                    carry,
+                    deadline_ms: deadline_ms.map(|d| carry.original_arrival_ms + d),
+                    estimate_ms: 0.0,
+                }
+            })
             .collect();
         pending.sort_by(|a, b| {
-            a.1.arrival_ms
-                .partial_cmp(&b.1.arrival_ms)
+            a.request
+                .arrival_ms
+                .partial_cmp(&b.request.arrival_ms)
                 .expect("arrival times are finite")
-                .then(a.0.cmp(&b.0))
+                .then(a.seq.cmp(&b.seq))
         });
-
-        // Lowered command streams, one per plan-cache key: a lowering is a
-        // pure function of (plan, device, config), and plan, device and
-        // config are fixed within one device run, so every admission of a
-        // model steps a clone of the same shared stream.
-        let mut lowered: HashMap<u64, Arc<CommandStream>> = HashMap::new();
-
-        // Static per-request scheduling inputs. Absolute deadlines are cheap
-        // and always resolved; service-time predictions cost one uncontended
-        // stream replay per distinct model, so they are only computed when
-        // the policy asks ([`SchedulePolicy::uses_estimates`]) and are
-        // memoized by plan-cache key. Prediction compiles through the shared
-        // plan cache on purpose: the artifact is needed again at admission,
-        // and solving LC-OPG twice to keep the hit counters pristine would
-        // double the expensive part. Under estimate-using policies the
-        // admission-time compile of each model is therefore always a cache
-        // hit (the precompute paid the miss), and its lowering is already
-        // memoized.
-        let uses_estimates = self.policy.uses_estimates();
-        let mut service_memo: HashMap<u64, f64> = HashMap::new();
-        let mut deadlines: HashMap<usize, Option<f64>> = HashMap::new();
-        let mut estimates: HashMap<usize, f64> = HashMap::new();
-        for (seq, request) in &pending {
-            // Re-dispatched requests arrive at the recovery planner's ready
-            // floor, but their deadline clock started at true submission.
-            let deadline = match carry_map.get(seq) {
-                Some(carry) => request
-                    .deadline_ms
-                    .or_else(|| self.tenant_slos.get(&request.tenant).copied())
-                    .map(|d| carry.original_arrival_ms + d),
-                None => request.absolute_deadline_ms().or_else(|| {
-                    self.tenant_slos
-                        .get(&request.tenant)
-                        .map(|d| request.arrival_ms + d)
-                }),
-            };
-            deadlines.insert(*seq, deadline);
-            let estimate = if uses_estimates {
-                let key = ArtifactCache::key_for(engine, &request.model, device);
-                *service_memo.entry(key).or_insert_with(|| {
-                    match self.cache.compile(engine, &request.model, device) {
-                        Ok((artifact, _)) => {
-                            let stream =
-                                self.lowered(&mut lowered, key, &artifact, &request.model, device);
-                            uncontended_makespan_ms(stream, device)
-                        }
-                        // Compilation failures surface at admission.
-                        Err(_) => 0.0,
-                    }
-                })
-            } else {
-                0.0
-            };
-            estimates.insert(*seq, estimate);
+        let mut run = ServeDeviceRun {
+            engine,
+            dev,
+            warm,
+            stolen,
+            carries: assigned
+                .iter()
+                .filter_map(|a| a.carry.map(|carry| (a.seq, carry)))
+                .collect(),
+            slots,
+            exclusive: slots == 1 && engine.policy.preemption().is_none(),
+            bounded: engine.overload.queue_bound.is_some(),
+            draws_faults: !engine.fault_plan.is_empty(),
+            lost_at_ms: engine.fault_plan.device_loss_ms(dev.index),
+            lost: false,
+            trace: TraceRecorder::new(engine.trace),
+            tracker: MemoryTracker::for_device(dev.spec),
+            clocks: QueueClocks::new(),
+            epoch: 0.0,
+            stitched: MemoryTrace::new(),
+            pending,
+            enqueued: HashSet::new(),
+            queue_high_water: 0,
+            in_flight: Vec::new(),
+            suspended: Vec::new(),
+            admit_order: 0,
+            tenant_bytes: HashMap::new(),
+            lowered: HashMap::new(),
+            estimate_memo: HashMap::new(),
+            outcomes: Vec::new(),
+            orphans: Vec::new(),
+            transfer_busy: 0.0,
+            compute_busy: 0.0,
+            makespan: 0.0,
+        };
+        if engine.policy.uses_estimates() {
+            run.predict_service();
         }
+        run
+    }
 
-        let mut in_flight: Vec<InFlight> = Vec::new();
-        let mut suspended: Vec<Suspended> = Vec::new();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut epoch = 0.0_f64;
-        let mut clocks = QueueClocks::new();
-        let mut stitched = MemoryTrace::new();
-        let mut transfer_busy = 0.0_f64;
-        let mut compute_busy = 0.0_f64;
-        let mut makespan = 0.0_f64;
-        let mut tenant_bytes: HashMap<String, u64> = HashMap::new();
-        let mut admit_order = 0_usize;
-        // Resident-byte estimates computed by the preemption phase's
-        // feasibility checks, memoized per request seq.
-        let mut estimate_memo: HashMap<usize, u64> = HashMap::new();
-        // Bounded-queue bookkeeping: which pending requests the loop has
-        // observed arriving (and not shed), the live queue depth (arrived
-        // but not yet admitted), and its high-water mark.
-        let mut enqueued: HashSet<usize> = HashSet::new();
-        let mut queued = 0_usize;
-        let mut queue_high_water = 0_usize;
-
-        // Failed-over suspensions seed the suspended list: the ordinary
-        // resume path re-acquires their residency (charging the reload
-        // penalty) once their backoff floor passes. Their tenant reservation
-        // is held while suspended, exactly like a preemption's.
-        for seed in seeds {
-            let SeededSuspension {
-                mut meta,
-                suspension,
-                suspended_at_ms,
-                ready_ms,
-            } = seed;
-            *tenant_bytes.entry(meta.tenant.clone()).or_insert(0) += meta.estimate_bytes;
-            meta.trace_start = tracker.trace().len();
-            meta.order = admit_order;
-            admit_order += 1;
-            suspended.push(Suspended {
-                meta,
-                suspended_at_ms,
-                suspension,
-                ready_ms,
+    /// Predict each pending request's service time. A prediction costs one
+    /// uncontended stream replay per distinct model, so predictions are only
+    /// made when the policy asks ([`SchedulePolicy::uses_estimates`]) and
+    /// are memoized by plan-cache key. Prediction compiles through the
+    /// shared plan cache on purpose: the artifact is needed again at
+    /// admission, and solving LC-OPG twice to keep the hit counters pristine
+    /// would double the expensive part. Under estimate-using policies the
+    /// admission-time compile of each model is therefore always a cache hit
+    /// (the precompute paid the miss), and its lowering is already memoized.
+    fn predict_service(&mut self) {
+        let (engine, dev) = (self.engine, self.dev);
+        let mut service_memo: HashMap<u64, f64> = HashMap::new();
+        for i in 0..self.pending.len() {
+            let model = &self.pending[i].request.model;
+            let key = ArtifactCache::key_for(&dev.engine, model, dev.spec);
+            self.pending[i].estimate_ms = *service_memo.entry(key).or_insert_with(|| {
+                match engine.cache.compile(&dev.engine, model, dev.spec) {
+                    Ok((artifact, _)) => {
+                        let stream = self.lowered(key, &artifact, model);
+                        uncontended_makespan_ms(stream, dev.spec)
+                    }
+                    // Compilation failures surface at admission.
+                    Err(_) => 0.0,
+                }
             });
         }
+    }
 
-        // Admission-control rejects were decided in the run prologue; their
-        // outcomes and trace instants are emitted here so each lands on its
-        // placed device's private buffers and flows through the ordered
-        // merge like everything else.
-        for (seq, request, laxity) in &prerejected {
-            outcomes.push(self.rejected_outcome(
-                *seq,
-                request,
-                device,
-                device_index,
-                RejectCause::DeadlineUnmeetable,
-                Some(*laxity),
-                None,
-            ));
-            if trace.enabled() {
-                trace.instant(
-                    TraceKind::Reject,
+    /// Failed-over suspensions seed the suspended list: the ordinary resume
+    /// path re-acquires their residency (charging the reload penalty) once
+    /// their backoff floor passes. Their tenant reservation is held while
+    /// suspended, exactly like a preemption's.
+    fn seed(&mut self, seeds: Vec<Suspended>) {
+        for mut seed in seeds {
+            let meta = &mut seed.meta;
+            *self.tenant_bytes.entry(meta.tenant.clone()).or_insert(0) += meta.estimate_bytes;
+            meta.trace_start = self.tracker.trace().len();
+            meta.order = self.admit_order;
+            self.admit_order += 1;
+            self.suspended.push(seed);
+        }
+    }
+
+    /// Mark each request the steal planner re-placed onto this device.
+    fn trace_steals(&mut self) {
+        if !self.trace.enabled() {
+            return;
+        }
+        for Waiting { seq, request, .. } in &self.pending {
+            if let Some(home) = self.stolen.get(seq) {
+                self.trace.instant(
+                    TraceKind::Steal,
                     TraceLane::Request(*seq),
-                    &format!("reject {} (deadline-unmeetable)", request.model.abbr),
+                    &format!("steal {} from device #{home}", request.model.abbr),
                     request.arrival_ms,
                 );
             }
         }
-        if trace.enabled() {
-            for (seq, request) in &pending {
-                if let Some(home) = stolen.get(seq) {
-                    trace.instant(
-                        TraceKind::Steal,
-                        TraceLane::Request(*seq),
-                        &format!("steal {} from device #{home}", request.model.abbr),
-                        request.arrival_ms,
-                    );
-                }
-            }
-        }
+    }
 
-        // Build the wait-only outcome of a request that failed before it
-        // ever executed (compile error, hopeless tenant cap, device loss
-        // while still queued).
-        let waiting_failure = |seq: usize,
-                               request: &ServeRequest,
-                               deadline_ms: Option<f64>,
-                               now: f64,
-                               error: SimError|
-         -> RequestOutcome {
-            let carry = carry_map.get(&seq);
-            let arrival_ms = carry.map_or(request.arrival_ms, |c| c.original_arrival_ms);
-            RequestOutcome {
-                deadline_ms,
-                stolen_from: carry
-                    .and_then(|c| c.stolen_from)
-                    .or_else(|| stolen.get(&seq).copied()),
-                retries: carry.map_or(0, |c| c.retries),
-                failed_over: carry.is_some_and(|c| c.failed_over),
-                ..RequestOutcome::unstarted(
-                    seq,
-                    request,
-                    &device.name,
-                    device_index,
-                    arrival_ms,
-                    now,
-                    Some(error),
-                )
-            }
-        };
-        let fail = |outcomes: &mut Vec<RequestOutcome>,
-                    trace: &mut TraceRecorder,
-                    seq: usize,
-                    request: &ServeRequest,
-                    deadline_ms: Option<f64>,
-                    now: f64,
-                    error: SimError| {
-            outcomes.push(waiting_failure(seq, request, deadline_ms, now, error));
-            trace_failure(trace, outcomes.last().expect("just pushed"), None);
-        };
-        // Hand a faulted attempt to the recovery planner with the recovery
-        // counters it brought into this round.
-        let orphan = |outcome: RequestOutcome, kind: FaultKind, resume: ServeResume| {
-            let (retries, hops) = carry_map
-                .get(&outcome.seq)
-                .map_or((0, 0), |c| (c.retries, c.hops));
-            Orphan {
-                outcome,
-                kind,
-                retries,
-                hops,
-                resume,
-            }
-        };
+    /// The lowered command stream of `artifact` (compiled under plan-cache
+    /// `key`), lowering it only the first time this device run sees `key`.
+    fn lowered(
+        &mut self,
+        key: u64,
+        artifact: &CompiledArtifact,
+        model: &ModelSpec,
+    ) -> Arc<CommandStream> {
+        let (config, device) = (&self.engine.config, self.dev.spec);
+        Arc::clone(
+            self.lowered
+                .entry(key)
+                .or_insert_with(|| Arc::new(lower_artifact(artifact, model, device, config))),
+        )
+    }
 
-        let bounded = self.overload.queue_bound.is_some();
+    /// Global time at which the earliest in-flight command can start
+    /// (infinite when none can).
+    fn next_start_ms(&self) -> f64 {
+        self.epoch
+            + self
+                .in_flight
+                .iter()
+                .filter_map(|f| f.stepper.peek_start_ms(&self.clocks))
+                .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Run the device loop until nothing is left or the device is lost.
+    fn run(&mut self) -> SimResult<()> {
         loop {
-            // ---------------- preemption ----------------
-            if self.policy.preemption().is_some() {
-                if bounded && !in_flight.is_empty() {
+            if self.engine.policy.preemption().is_some() {
+                if self.bounded && !self.in_flight.is_empty() {
                     // Observe (and shed past the bound) every arrival the
                     // preemption phase is about to see, so a request that is
                     // about to be shed can never trigger a preemption first.
-                    let now = epoch
-                        + in_flight
-                            .iter()
-                            .filter_map(|f| f.stepper.peek_start_ms(&clocks))
-                            .fold(f64::INFINITY, f64::min);
+                    let now = self.next_start_ms();
                     if now.is_finite() {
-                        self.observe_arrivals(
-                            now,
-                            device,
-                            device_index,
-                            stolen,
-                            &mut pending,
-                            &mut enqueued,
-                            &mut queued,
-                            &mut queue_high_water,
-                            &mut outcomes,
-                            &mut trace,
-                        );
+                        self.observe_arrivals(now);
                     }
                 }
-                self.preempt_outranked(
-                    engine,
-                    device,
-                    slots,
-                    epoch,
-                    &clocks,
-                    &mut tracker,
-                    &pending,
-                    &tenant_bytes,
-                    &mut estimate_memo,
-                    &deadlines,
-                    &estimates,
-                    bounded.then_some(&enqueued),
-                    &mut in_flight,
-                    &mut suspended,
-                    &mut trace,
-                )?;
+                self.preempt_outranked()?;
             }
-
-            // ---------------- admission ----------------
-            'admit: while in_flight.len() < slots && !(pending.is_empty() && suspended.is_empty()) {
-                if in_flight.is_empty() && suspended.is_empty() {
-                    // Idle: re-base the device timeline onto a fresh epoch at
-                    // the later of "now" and the earliest pending arrival.
-                    // (Never re-based while work is suspended — suspension
-                    // snapshots reference the current epoch's local times.)
-                    let earliest = pending.first().map_or(f64::INFINITY, |(_, r)| r.arrival_ms);
-                    epoch = (epoch + clocks.horizon_ms()).max(earliest);
-                    clocks.reset();
-                }
-                let mut now = if in_flight.is_empty() {
-                    if suspended.is_empty() {
-                        epoch
-                    } else {
-                        // Resume as soon as the queues drain.
-                        epoch + clocks.horizon_ms()
-                    }
-                } else {
-                    epoch
-                        + in_flight
-                            .iter()
-                            .filter_map(|f| f.stepper.peek_start_ms(&clocks))
-                            .fold(f64::INFINITY, f64::min)
-                };
-                if in_flight.is_empty() && !suspended.is_empty() {
-                    // A failed-over suspension carries a backoff floor; with
-                    // nothing running, jump to the earliest floor so the loop
-                    // cannot spin on a queue whose every candidate is still
-                    // backing off. Ordinary suspensions have a `NEG_INFINITY`
-                    // floor and never move `now`; with nothing suspended the
-                    // idle re-base above already jumped to the earliest
-                    // arrival, re-dispatch floors included.
-                    let earliest = pending
-                        .first()
-                        .map(|(_, r)| r.arrival_ms)
-                        .into_iter()
-                        .chain(suspended.iter().map(|s| s.ready_ms))
-                        .fold(f64::INFINITY, f64::min);
-                    if earliest.is_finite() {
-                        now = now.max(earliest);
-                    }
-                }
-                self.observe_arrivals(
-                    now,
-                    device,
-                    device_index,
-                    stolen,
-                    &mut pending,
-                    &mut enqueued,
-                    &mut queued,
-                    &mut queue_high_water,
-                    &mut outcomes,
-                    &mut trace,
-                );
-                let mut candidates =
-                    arrived_candidates(&pending, &suspended, now, &deadlines, &estimates, None);
-                let ctx = PolicyContext::at(now);
-                while !candidates.is_empty() {
-                    let choice = self
-                        .policy
-                        .pick(&candidates, &ctx)
-                        .min(candidates.len() - 1);
-                    let chosen_seq = candidates[choice].seq;
-
-                    if let Some(pos) = suspended.iter().position(|s| s.meta.seq == chosen_seq) {
-                        // -------- resume a preempted request --------
-                        if !suspended[pos].suspension.can_resume(&tracker) {
-                            if in_flight.is_empty() {
-                                // Nothing running will ever free the memory:
-                                // the residency is unrecoverable.
-                                let s = suspended.remove(pos);
-                                let requested = s.suspension.evicted_bytes();
-                                makespan = makespan.max(now);
-                                decrement(&mut tenant_bytes, &s.meta.tenant, s.meta.estimate_bytes);
-                                let mut meta = s.meta;
-                                if trace.enabled() {
-                                    trace.span(
-                                        TraceKind::Suspended,
-                                        TraceLane::Request(meta.seq),
-                                        &format!("suspended {}", meta.abbr),
-                                        s.suspended_at_ms,
-                                        now,
-                                    );
-                                }
-                                meta.suspended_ms += (now - s.suspended_at_ms).max(0.0);
-                                outcomes.push(meta.into_outcome(
-                                    &device.name,
-                                    device_index,
-                                    now,
-                                    0.0,
-                                    Some(SimError::OutOfMemory {
-                                        pool: "resume residency".to_string(),
-                                        requested,
-                                        available:
-                                            tracker.budget().saturating_sub(tracker.total_in_use()),
-                                        capacity: tracker.budget(),
-                                    }),
-                                    None,
-                                ));
-                                trace_failure(
-                                    &mut trace,
-                                    outcomes.last().expect("just pushed"),
-                                    None,
-                                );
-                                continue 'admit;
-                            }
-                            // Defer until in-flight work frees memory.
-                            candidates.remove(choice);
-                            continue;
-                        }
-                        let s = suspended.remove(pos);
-                        let cost = self
-                            .policy
-                            .preemption()
-                            .unwrap_or_else(PreemptionCost::free);
-                        let resume_local = (now - epoch).max(0.0);
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Suspended,
-                                TraceLane::Request(s.meta.seq),
-                                &format!("suspended {}", s.meta.abbr),
-                                s.suspended_at_ms,
-                                now,
-                            );
-                        }
-                        let (stepper, penalty) = s.suspension.resume_into_traced(
-                            sim,
-                            &mut tracker,
-                            resume_local,
-                            epoch,
-                            &cost,
-                            &mut trace,
-                            TraceLane::Request(s.meta.seq),
-                            &s.meta.abbr,
-                        )?;
-                        let mut meta = s.meta;
-                        meta.suspended_ms += (now - s.suspended_at_ms).max(0.0);
-                        meta.penalty_ms += penalty;
-                        meta.run_start_ms = epoch + resume_local + penalty;
-                        in_flight.push(InFlight { meta, stepper });
-                        continue 'admit;
-                    }
-
-                    // -------- admit a fresh request --------
-                    let position = pending
-                        .iter()
-                        .position(|(seq, _)| *seq == chosen_seq)
-                        .expect("candidate is pending");
-                    let (seq, request) = pending[position];
-
-                    // Report warmth-at-run-start (the prologue snapshot),
-                    // not `compile`'s racy mid-run flag: at pool width > 1
-                    // that flag records which device won the compile race.
-                    let key = ArtifactCache::key_for(engine, &request.model, device);
-                    let cache_hit = warm.contains(&key);
-                    let artifact = match self.cache.compile_traced(
-                        engine,
-                        &request.model,
-                        device,
-                        now,
-                        cache_hit,
-                        TraceLane::Host,
-                        &mut trace,
-                    ) {
-                        Ok((artifact, _)) => artifact,
-                        Err(error) => {
-                            pending.remove(position);
-                            if enqueued.remove(&seq) {
-                                queued -= 1;
-                            }
-                            let deadline = self.effective_deadline(request);
-                            fail(
-                                &mut outcomes,
-                                &mut trace,
-                                seq,
-                                request,
-                                deadline,
-                                now,
-                                error,
-                            );
-                            continue 'admit;
-                        }
-                    };
-                    let estimate = estimate_resident_bytes(&artifact, &request.model);
-                    if let Some(cap) = self.effective_tenant_cap(&request.tenant) {
-                        let used = tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
-                        if used.saturating_add(estimate) > cap {
-                            if used == 0 {
-                                // The cap cannot fit this model at all.
-                                pending.remove(position);
-                                if enqueued.remove(&seq) {
-                                    queued -= 1;
-                                }
-                                let deadline = self.effective_deadline(request);
-                                fail(
-                                    &mut outcomes,
-                                    &mut trace,
-                                    seq,
-                                    request,
-                                    deadline,
-                                    now,
-                                    SimError::OutOfMemory {
-                                        pool: format!("tenant `{}` cap", request.tenant),
-                                        requested: estimate,
-                                        available: cap,
-                                        capacity: cap,
-                                    },
-                                );
-                                continue 'admit;
-                            }
-                            // Defer until the tenant's in-flight work drains.
-                            candidates.remove(choice);
-                            continue;
-                        }
-                    }
-
-                    pending.remove(position);
-                    if enqueued.remove(&seq) {
-                        queued -= 1;
-                    }
-                    let stream = self.lowered(&mut lowered, key, &artifact, &request.model, device);
-                    let total_commands = stream.len();
-                    let floor = (request.arrival_ms - epoch).max(0.0);
-                    let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
-                    if exclusive {
-                        tracker.reset_trace();
-                    }
-                    *tenant_bytes.entry(request.tenant.clone()).or_insert(0) += estimate;
-                    let predicted_ms = estimates.get(&seq).copied().unwrap_or(0.0);
-                    let start_ms = now.max(request.arrival_ms);
-                    let admission_laxity_ms = deadlines
-                        .get(&seq)
-                        .copied()
-                        .flatten()
-                        .map(|deadline| deadline - start_ms - predicted_ms);
-                    if trace.enabled() {
-                        let lane = TraceLane::Request(seq);
-                        trace.span(
-                            TraceKind::QueueWait,
-                            lane,
-                            &format!("queue {}", request.model.abbr),
-                            request.arrival_ms,
-                            start_ms,
-                        );
-                        let label = match admission_laxity_ms {
-                            Some(laxity) => {
-                                format!("admit {} laxity {laxity:.3} ms", request.model.abbr)
-                            }
-                            None => format!("admit {}", request.model.abbr),
-                        };
-                        trace.instant(TraceKind::Admit, lane, &label, start_ms);
-                    }
-                    let carry = carry_map.get(&seq);
-                    in_flight.push(InFlight {
-                        meta: FlightMeta {
-                            seq,
-                            abbr: request.model.abbr.clone(),
-                            tenant: request.tenant.clone(),
-                            priority: request.priority,
-                            // Metrics measure from true submission, not from
-                            // the recovery planner's re-dispatch floor.
-                            arrival_ms: carry.map_or(request.arrival_ms, |c| c.original_arrival_ms),
-                            deadline_ms: self.effective_deadline(request),
-                            start_ms,
-                            cache_hit,
-                            streamed_fraction: artifact.streamed_fraction(),
-                            estimate_bytes: estimate,
-                            predicted_ms,
-                            total_commands,
-                            admission_laxity_ms,
-                            stolen_from: carry
-                                .and_then(|c| c.stolen_from)
-                                .or_else(|| stolen.get(&seq).copied()),
-                            retries: carry.map_or(0, |c| c.retries),
-                            failed_over: carry.is_some_and(|c| c.failed_over),
-                            attempt: carry.map_or(0, |c| c.retries + c.hops),
-                            trace_start: tracker.trace().len(),
-                            order: admit_order,
-                            preemptions: 0,
-                            suspended_ms: 0.0,
-                            penalty_ms: 0.0,
-                            run_start_ms: start_ms,
-                            transfer_intervals: Vec::new(),
-                            compute_intervals: Vec::new(),
-                        },
-                        stepper,
-                    });
-                    admit_order += 1;
-                    continue 'admit;
-                }
-                break 'admit;
-            }
-
-            if in_flight.is_empty() {
-                if pending.is_empty() && suspended.is_empty() {
-                    break;
+            self.admit()?;
+            if self.in_flight.is_empty() {
+                if self.pending.is_empty() && self.suspended.is_empty() {
+                    return Ok(());
                 }
                 // Nothing admissible right now (all candidates deferred on
                 // tenant caps with no in-flight work — prevented by the
@@ -1585,432 +1179,67 @@ impl ServeEngine {
                 // but keep the loop safe).
                 continue;
             }
-
-            // ---------------- step ----------------
-            let mut chosen = 0;
-            let mut chosen_start = f64::INFINITY;
-            for (i, flight) in in_flight.iter().enumerate() {
-                let start = flight
-                    .stepper
-                    .peek_start_ms(&clocks)
-                    .unwrap_or(f64::INFINITY);
-                let earlier = start < chosen_start
-                    || (start == chosen_start && flight.meta.order < in_flight[chosen].meta.order);
-                if i == 0 || earlier {
-                    chosen = i;
-                    chosen_start = start;
-                }
-            }
-            let base = if exclusive { 0.0 } else { epoch };
-
-            // ---------------- fault injection ----------------
-            if chosen_start.is_finite() {
-                let would_start = epoch + chosen_start;
-                if lost_at_ms.is_some_and(|t| would_start + 1e-9 >= t) {
-                    // The device dies before this command starts: everything
-                    // on it — running, suspended, queued — is stranded. Hand
-                    // it all to the recovery planner as orphans and stop the
-                    // timeline.
-                    let loss_ms = lost_at_ms.expect("just checked");
-                    lost = true;
-                    makespan = makespan.max(loss_ms);
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Host,
-                            &format!("fault device-loss {}", device.name),
-                            loss_ms,
-                        );
-                    }
-                    let carry_over = self.recovery.failover;
-                    let loss = SimError::Fault {
-                        kind: FaultKind::DeviceLoss,
-                        at_ms: loss_ms,
-                    };
-                    for flight in in_flight.drain(..) {
-                        let seq = flight.meta.seq;
-                        let local_now =
-                            ((loss_ms - epoch).max(0.0)).max(flight.stepper.makespan_ms());
-                        let completion = epoch + local_now;
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Running,
-                                TraceLane::Request(seq),
-                                &format!("run {}", flight.meta.abbr),
-                                flight.meta.run_start_ms,
-                                completion,
-                            );
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", flight.meta.abbr),
-                                completion,
-                            );
-                        }
-                        let mut stepper = flight.stepper;
-                        let meta = flight.meta;
-                        let resume = if carry_over {
-                            // Freeze the in-flight state for a same-spec
-                            // sibling to resume from.
-                            let suspension = stepper.suspend_evicting_traced(
-                                &clocks,
-                                &mut tracker,
-                                local_now,
-                                epoch,
-                                &mut trace,
-                                TraceLane::Request(seq),
-                                &meta.abbr,
-                            )?;
-                            Some((meta.clone(), suspension))
-                        } else {
-                            stepper.release_remaining(&mut tracker, base + local_now)?;
-                            None
-                        };
-                        let outcome = meta.into_outcome(
-                            &device.name,
-                            device_index,
-                            completion,
-                            0.0,
-                            Some(loss.clone()),
-                            None,
-                        );
-                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, resume));
-                    }
-                    for s in suspended.drain(..) {
-                        let seq = s.meta.seq;
-                        let at = loss_ms.max(s.suspended_at_ms);
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Suspended,
-                                TraceLane::Request(seq),
-                                &format!("suspended {}", s.meta.abbr),
-                                s.suspended_at_ms,
-                                at,
-                            );
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", s.meta.abbr),
-                                at,
-                            );
-                        }
-                        let mut meta = s.meta;
-                        meta.suspended_ms += (at - s.suspended_at_ms).max(0.0);
-                        let resume = carry_over.then(|| (meta.clone(), s.suspension));
-                        let outcome = meta.into_outcome(
-                            &device.name,
-                            device_index,
-                            at,
-                            0.0,
-                            Some(loss.clone()),
-                            None,
-                        );
-                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, resume));
-                    }
-                    for (seq, request) in pending.drain(..) {
-                        let at = loss_ms.max(request.arrival_ms);
-                        if trace.enabled() {
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", request.model.abbr),
-                                at,
-                            );
-                        }
-                        let deadline = self.effective_deadline(request);
-                        let outcome = waiting_failure(seq, request, deadline, at, loss.clone());
-                        orphans.push(orphan(outcome, FaultKind::DeviceLoss, None));
-                    }
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                    }
-                    break;
-                }
-                let flight = &in_flight[chosen];
-                let fault = draws_faults
-                    .then(|| {
-                        let executed = flight
-                            .meta
-                            .total_commands
-                            .saturating_sub(flight.stepper.remaining());
-                        self.fault_plan.command_fault(
-                            device_index,
-                            flight.meta.seq,
-                            executed,
-                            flight.meta.attempt,
-                        )
-                    })
-                    .flatten();
-                if let Some(kind) = fault {
-                    // A transient injected fault: fail this attempt exactly
-                    // like a modelled mid-run error, but channel it to the
-                    // recovery planner instead of the final outcome list.
-                    let mut flight = in_flight.remove(chosen);
-                    let now_local = chosen_start.max(flight.stepper.makespan_ms());
-                    flight
-                        .stepper
-                        .release_remaining(&mut tracker, base + now_local)?;
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                        tracker.evict_all(epoch + now_local);
-                        stitched.record(epoch + now_local, 0);
-                        epoch += now_local;
-                        clocks.reset();
-                    }
-                    decrement(
-                        &mut tenant_bytes,
-                        &flight.meta.tenant,
-                        flight.meta.estimate_bytes,
-                    );
-                    let completion = if exclusive { epoch } else { base + now_local };
-                    makespan = makespan.max(completion);
-                    let seq = flight.meta.seq;
-                    if trace.enabled() {
-                        trace.span(
-                            TraceKind::Running,
-                            TraceLane::Request(seq),
-                            &format!("run {}", flight.meta.abbr),
-                            flight.meta.run_start_ms,
-                            completion,
-                        );
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Request(seq),
-                            &format!("fault {kind} {}", flight.meta.abbr),
-                            completion,
-                        );
-                    }
-                    let outcome = flight.meta.into_outcome(
-                        &device.name,
-                        device_index,
-                        completion,
-                        0.0,
-                        Some(SimError::Fault {
-                            kind,
-                            at_ms: completion,
-                        }),
-                        None,
-                    );
-                    orphans.push(orphan(outcome, kind, None));
-                    continue;
-                }
-            }
-
-            let step_result = in_flight[chosen].stepper.step_traced(
-                sim,
-                &mut clocks,
-                &mut tracker,
-                base,
-                epoch,
-                &mut trace,
-            );
-            match step_result {
-                Ok(Some(event)) => {
-                    let meta = &mut in_flight[chosen].meta;
-                    match event.queue {
-                        QueueKind::Transfer => {
-                            transfer_busy += event.duration_ms();
-                            if event.end_ms > event.start_ms {
-                                meta.transfer_intervals.push((event.start_ms, event.end_ms));
-                            }
-                        }
-                        QueueKind::Compute => {
-                            compute_busy += event.duration_ms();
-                            if event.end_ms > event.start_ms {
-                                meta.compute_intervals.push((event.start_ms, event.end_ms));
-                            }
-                        }
-                        QueueKind::Host => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(error) => {
-                    // The request failed mid-run (modelled OOM): release what
-                    // it held and keep serving everyone else.
-                    let mut flight = in_flight.remove(chosen);
-                    let now_local = flight.stepper.makespan_ms();
-                    let now_global = base + now_local;
-                    flight.stepper.release_remaining(&mut tracker, now_global)?;
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                        tracker.evict_all(epoch + now_local);
-                        stitched.record(epoch + now_local, 0);
-                        epoch += now_local;
-                        clocks.reset();
-                    }
-                    decrement(
-                        &mut tenant_bytes,
-                        &flight.meta.tenant,
-                        flight.meta.estimate_bytes,
-                    );
-                    let completion = if exclusive { epoch } else { now_global };
-                    makespan = makespan.max(completion);
-                    let run_start = flight.meta.run_start_ms;
-                    outcomes.push(flight.meta.into_outcome(
-                        &device.name,
-                        device_index,
-                        completion,
-                        0.0,
-                        Some(error),
-                        None,
-                    ));
-                    trace_failure(
-                        &mut trace,
-                        outcomes.last().expect("just pushed"),
-                        Some(run_start),
-                    );
-                    continue;
-                }
-            }
-
-            // ---------------- completion ----------------
-            if !in_flight[chosen].stepper.is_done() {
-                continue;
-            }
-            let flight = in_flight.remove(chosen);
-            if exclusive {
-                // Legacy path: the request ran in run-local time against a
-                // freshly reset trace; finalize exactly like the monolithic
-                // executor, stitch, then evict the whole model.
-                let outcome_exec = flight.stepper.finish(sim, &mut tracker);
-                let report = ExecutionReport::from_outcome(
-                    "FlashMem",
-                    &flight.meta.abbr,
-                    &outcome_exec,
-                    flight.meta.streamed_fraction,
-                );
-                let total = report.integrated_latency_ms;
-                stitched.append_shifted(&report.memory_trace, epoch);
-                let completion = epoch + total;
-                epoch = completion;
-                tracker.evict_all(epoch);
-                stitched.record(epoch, 0);
-                clocks.reset();
-                decrement(
-                    &mut tenant_bytes,
-                    &flight.meta.tenant,
-                    flight.meta.estimate_bytes,
-                );
-                makespan = makespan.max(completion);
-                let peak_memory_mb = report.peak_memory_mb;
-                let run_start = flight.meta.run_start_ms;
-                outcomes.push(flight.meta.into_outcome(
-                    &device.name,
-                    device_index,
-                    completion,
-                    peak_memory_mb,
-                    None,
-                    Some(report),
-                ));
-                trace_completion(&mut trace, outcomes.last().expect("just pushed"), run_start);
-            } else {
-                let mut flight = flight;
-                let total_local = flight.stepper.makespan_ms();
-                let completion = epoch + total_local;
-                tracker.sample(completion);
-                flight.stepper.release_remaining(&mut tracker, completion)?;
-                let peak_bytes = tracker.trace().samples()[flight.meta.trace_start..]
-                    .iter()
-                    .map(|s| s.bytes)
-                    .max()
-                    .unwrap_or(0);
-                decrement(
-                    &mut tenant_bytes,
-                    &flight.meta.tenant,
-                    flight.meta.estimate_bytes,
-                );
-                makespan = makespan.max(completion);
-                let run_start = flight.meta.run_start_ms;
-                outcomes.push(flight.meta.into_outcome(
-                    &device.name,
-                    device_index,
-                    completion,
-                    peak_bytes as f64 / MIB,
-                    None,
-                    None,
-                ));
-                trace_completion(&mut trace, outcomes.last().expect("just pushed"), run_start);
+            if !self.step()? {
+                return Ok(());
             }
         }
-
-        let mem_trace = if exclusive {
-            stitched
-        } else {
-            tracker.trace().clone()
-        };
-        let completed = outcomes.iter().filter(|o| o.succeeded()).count();
-        let report = DeviceReport {
-            device: device.name.clone(),
-            requests: total_assigned,
-            completed,
-            makespan_ms: makespan,
-            transfer_busy_ms: transfer_busy,
-            compute_busy_ms: compute_busy,
-            transfer_busy_fraction: if makespan > 0.0 {
-                transfer_busy / makespan
-            } else {
-                0.0
-            },
-            compute_busy_fraction: if makespan > 0.0 {
-                compute_busy / makespan
-            } else {
-                0.0
-            },
-            peak_memory_mb: mem_trace.peak_bytes() as f64 / MIB,
-            queue_depth_high_water: queue_high_water,
-            memory_trace: mem_trace,
-        };
-        Ok(DeviceRound {
-            outcomes,
-            report,
-            trace,
-            orphans,
-            lost,
-        })
     }
 
-    /// Preemption phase of the device loop: while every slot is busy and an
-    /// arrived (or previously suspended) request
-    /// [`outranks`](SchedulePolicy::outranks) the policy's chosen
-    /// [`victim`](SchedulePolicy::victim) among the in-flight inferences,
-    /// suspend that victim at its next command boundary and evict its
-    /// residency. Under the priority policies a candidate outranks by
-    /// strictly higher priority; under the deadline-triggered policy it
-    /// outranks when its laxity would go negative waiting for the victim
-    /// while the victim stays slack. Candidates that could not actually use
-    /// the freed slot — a suspended request whose residency would still not
-    /// fit, or a pending request its tenant cap would defer — never trigger
-    /// a preemption, so the loop cannot thrash.
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_outranked(
-        &self,
-        engine: &FlashMem,
-        device: &DeviceSpec,
-        slots: usize,
-        epoch: f64,
-        clocks: &QueueClocks,
-        tracker: &mut MemoryTracker,
-        pending: &[(usize, &ServeRequest)],
-        tenant_bytes: &HashMap<String, u64>,
-        estimate_memo: &mut HashMap<usize, u64>,
-        deadlines: &HashMap<usize, Option<f64>>,
-        estimates: &HashMap<usize, f64>,
-        gate: Option<&HashSet<usize>>,
-        in_flight: &mut Vec<InFlight>,
-        suspended: &mut Vec<Suspended>,
-        trace: &mut TraceRecorder,
-    ) -> SimResult<()> {
-        while in_flight.len() >= slots && !in_flight.is_empty() {
-            let now = epoch
-                + in_flight
-                    .iter()
-                    .filter_map(|f| f.stepper.peek_start_ms(clocks))
-                    .fold(f64::INFINITY, f64::min);
+    /// Observe every arrival up to `now` (pending is sorted by arrival, so
+    /// this walks a prefix), shedding past the queue bound and tracking the
+    /// queue-depth high-water mark. Runs at each scheduling boundary of the
+    /// device loop; depth can only shrink at those same boundaries
+    /// (admissions), so processing the arrivals of a busy interval in
+    /// arrival order here reproduces the depth evolution exactly. A shed
+    /// request is rejected *at its own arrival instant* with
+    /// [`RejectCause::QueueFull`].
+    fn observe_arrivals(&mut self, now: f64) {
+        let bound = self.engine.overload.queue_bound;
+        let mut i = 0;
+        while i < self.pending.len() {
+            let Waiting { seq, request, .. } = self.pending[i];
+            if request.arrival_ms > now {
+                break;
+            }
+            if self.enqueued.contains(&seq) {
+                i += 1;
+                continue;
+            }
+            if bound.is_some_and(|bound| self.enqueued.len() >= bound) {
+                self.pending.remove(i);
+                let home = self.stolen.get(&seq).copied();
+                self.reject(seq, request, RejectCause::QueueFull, None, home);
+                continue;
+            }
+            self.enqueued.insert(seq);
+            self.queue_high_water = self.queue_high_water.max(self.enqueued.len());
+            i += 1;
+        }
+    }
+
+    /// Take the pending request at `position` off the queue.
+    fn dequeue(&mut self, position: usize) {
+        let seq = self.pending.remove(position).seq;
+        self.enqueued.remove(&seq);
+    }
+
+    /// Preemption phase: while every slot is busy and an arrived (or
+    /// previously suspended) request [`outranks`](SchedulePolicy::outranks)
+    /// the policy's chosen [`victim`](SchedulePolicy::victim) among the
+    /// in-flight inferences, suspend that victim at its next command
+    /// boundary and evict its residency. Under the priority policies a
+    /// candidate outranks by strictly higher priority; under the
+    /// deadline-triggered policy it outranks when its laxity would go
+    /// negative waiting for the victim while the victim stays slack.
+    fn preempt_outranked(&mut self) -> SimResult<()> {
+        while self.in_flight.len() >= self.slots {
+            let now = self.next_start_ms();
             if !now.is_finite() {
                 return Ok(());
             }
             let ctx = PolicyContext::at(now);
-            let flights: Vec<InFlightEntry> = in_flight
+            let flights: Vec<InFlightEntry> = self
+                .in_flight
                 .iter()
                 .map(|f| InFlightEntry {
                     seq: f.meta.seq,
@@ -2020,119 +1249,816 @@ impl ServeEngine {
                     estimated_remaining_ms: f.meta.estimated_remaining_ms(f.stepper.remaining()),
                 })
                 .collect();
-            let victim_idx = self.policy.victim(&flights, &ctx).min(flights.len() - 1);
-            let victim_entry = flights[victim_idx];
-            let (victim_unified, victim_texture) =
-                in_flight[victim_idx].stepper.resident_split(tracker);
+            let victim = self
+                .engine
+                .policy
+                .victim(&flights, &ctx)
+                .min(flights.len() - 1);
+            if !self.outranked(victim, &flights[victim], now, &ctx) {
+                return Ok(());
+            }
+            self.suspend(victim, now)?;
+        }
+        Ok(())
+    }
 
-            let mut candidates =
-                arrived_candidates(pending, suspended, now, deadlines, estimates, gate);
+    /// Whether some candidate outranks in-flight `victim` (described by
+    /// `entry`) and could actually use its slot. Candidates that could not —
+    /// a suspended request whose residency would still not fit, or a pending
+    /// request its tenant cap would defer — never trigger a preemption, so
+    /// the loop cannot thrash.
+    fn outranked(
+        &mut self,
+        victim: usize,
+        entry: &InFlightEntry,
+        now: f64,
+        ctx: &PolicyContext,
+    ) -> bool {
+        let engine = self.engine;
+        let policy = &engine.policy;
+        let (victim_unified, victim_texture) =
+            self.in_flight[victim].stepper.resident_split(&self.tracker);
+        let gate = self.bounded.then_some(&self.enqueued);
+        let mut candidates = arrived_candidates(&self.pending, &self.suspended, now, gate);
+        while !candidates.is_empty() {
+            let choice = policy.pick(&candidates, ctx).min(candidates.len() - 1);
+            let cand = candidates[choice];
+            // Keep scanning in the policy's preference order: pick order
+            // need not be monotone with outranking (under the
+            // deadline-triggered policy the least-laxity candidate can be too
+            // *long* to rescue while a shorter, slightly slacker one
+            // qualifies).
+            let usable = policy.outranks(&cand, entry, ctx)
+                && match self.suspended.iter().position(|s| s.meta.seq == cand.seq) {
+                    // Only for a suspended request whose residency fits once
+                    // the victim is evicted.
+                    Some(pos) => {
+                        let (need_unified, need_texture) =
+                            self.suspended[pos].suspension.evicted_split();
+                        let tracker = &self.tracker;
+                        let headroom = tracker.budget().saturating_sub(tracker.total_in_use());
+                        need_unified <= tracker.unified().available() + victim_unified
+                            && need_texture <= tracker.texture().available() + victim_texture
+                            && need_unified + need_texture
+                                <= headroom + victim_unified + victim_texture
+                    }
+                    None => self.tenant_cap_admits(cand.seq),
+                };
+            if usable {
+                return true;
+            }
+            candidates.remove(choice);
+        }
+        false
+    }
 
-            let mut trigger = false;
+    /// Whether pending `seq`'s tenant cap would let it in now. Estimates are
+    /// memoized per request: the preemption phase runs at every command
+    /// boundary, and repeated cache probes would inflate the plan-cache hit
+    /// counters.
+    fn tenant_cap_admits(&mut self, seq: usize) -> bool {
+        let waiting = self.pending.iter().find(|w| w.seq == seq);
+        let request = waiting.expect("candidate is pending").request;
+        let Some(cap) = self.engine.effective_tenant_cap(&request.tenant) else {
+            return true;
+        };
+        let estimate = match self.estimate_memo.get(&seq) {
+            Some(&estimate) => estimate,
+            None => match self
+                .engine
+                .cache
+                .compile(&self.dev.engine, &request.model, self.dev.spec)
+            {
+                Ok((artifact, _)) => {
+                    let estimate = estimate_resident_bytes(&artifact, &request.model);
+                    self.estimate_memo.insert(seq, estimate);
+                    estimate
+                }
+                // Compilation failures surface at admission.
+                Err(_) => return false,
+            },
+        };
+        let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
+        used.saturating_add(estimate) <= cap
+    }
+
+    /// Suspend in-flight `index` at its current command boundary: commands
+    /// it already issued drain, no new ones are issued, and its resident
+    /// memory is evicted for the higher-priority work.
+    fn suspend(&mut self, index: usize, now: f64) -> SimResult<()> {
+        let InFlight { mut meta, stepper } = self.in_flight.remove(index);
+        let local_now = (now - self.epoch).max(stepper.makespan_ms());
+        meta.preemptions += 1;
+        if self.trace.enabled() {
+            self.trace.span(
+                TraceKind::Running,
+                TraceLane::Request(meta.seq),
+                &format!("run {}", meta.abbr),
+                meta.run_start_ms,
+                self.epoch + local_now,
+            );
+        }
+        let suspension = stepper.suspend_evicting_traced(
+            &self.clocks,
+            &mut self.tracker,
+            local_now,
+            self.epoch,
+            &mut self.trace,
+            TraceLane::Request(meta.seq),
+            &meta.abbr,
+        )?;
+        self.suspended.push(Suspended {
+            meta,
+            suspended_at_ms: self.epoch + local_now,
+            suspension,
+            ready_ms: f64::NEG_INFINITY,
+        });
+        Ok(())
+    }
+
+    /// Close a suspension's `Suspended` span at global `at` and charge the
+    /// wait to its request.
+    fn end_suspension(&mut self, suspended: Suspended, at: f64) -> (FlightMeta, Suspension) {
+        let Suspended {
+            mut meta,
+            suspended_at_ms,
+            suspension,
+            ..
+        } = suspended;
+        if self.trace.enabled() {
+            self.trace.span(
+                TraceKind::Suspended,
+                TraceLane::Request(meta.seq),
+                &format!("suspended {}", meta.abbr),
+                suspended_at_ms,
+                at,
+            );
+        }
+        meta.suspended_ms += (at - suspended_at_ms).max(0.0);
+        (meta, suspension)
+    }
+
+    /// The admission phase's "now". An idle device re-bases its timeline
+    /// onto a fresh epoch at the later of "now" and the earliest pending
+    /// arrival (never while work is suspended — suspension snapshots
+    /// reference the current epoch's local times); suspended work resumes as
+    /// soon as the queues drain.
+    fn admission_now(&mut self) -> f64 {
+        if !self.in_flight.is_empty() {
+            return self.next_start_ms();
+        }
+        let earliest_arrival = self
+            .pending
+            .first()
+            .map_or(f64::INFINITY, |w| w.request.arrival_ms);
+        if self.suspended.is_empty() {
+            self.epoch = (self.epoch + self.clocks.horizon_ms()).max(earliest_arrival);
+            self.clocks.reset();
+            return self.epoch;
+        }
+        // A failed-over suspension carries a backoff floor; with nothing
+        // running, jump to the earliest floor so the loop cannot spin on a
+        // queue whose every candidate is still backing off. Ordinary
+        // suspensions have a `NEG_INFINITY` floor and never move `now`.
+        let now = self.epoch + self.clocks.horizon_ms();
+        let earliest = self
+            .suspended
+            .iter()
+            .map(|s| s.ready_ms)
+            .fold(earliest_arrival, f64::min);
+        if earliest.is_finite() {
+            now.max(earliest)
+        } else {
+            now
+        }
+    }
+
+    /// Admission phase: while a slot is free, resume or admit the policy's
+    /// pick among everything that has arrived. A pick that cannot start yet
+    /// (its residency or tenant cap must wait for in-flight work) is
+    /// deferred and the next pick tried.
+    fn admit(&mut self) -> SimResult<()> {
+        'admit: while self.in_flight.len() < self.slots
+            && !(self.pending.is_empty() && self.suspended.is_empty())
+        {
+            let now = self.admission_now();
+            self.observe_arrivals(now);
+            let mut candidates = arrived_candidates(&self.pending, &self.suspended, now, None);
+            let ctx = PolicyContext::at(now);
             while !candidates.is_empty() {
                 let choice = self
+                    .engine
                     .policy
                     .pick(&candidates, &ctx)
                     .min(candidates.len() - 1);
-                let cand = candidates[choice];
-                if !self.policy.outranks(&cand, &victim_entry, &ctx) {
-                    // Keep scanning in the policy's preference order: pick
-                    // order need not be monotone with outranking (under the
-                    // deadline-triggered policy the least-laxity candidate
-                    // can be too *long* to rescue while a shorter, slightly
-                    // slacker one qualifies).
-                    candidates.remove(choice);
-                    continue;
+                let seq = candidates[choice].seq;
+                let decided = match self.suspended.iter().position(|s| s.meta.seq == seq) {
+                    Some(pos) => self.resume(pos, now)?,
+                    None => self.admit_pending(seq, now)?,
+                };
+                if decided {
+                    continue 'admit;
                 }
-                if let Some(pos) = suspended.iter().position(|s| s.meta.seq == cand.seq) {
-                    // Only preempt for a suspended request whose residency
-                    // fits once the victim is evicted.
-                    let (need_unified, need_texture) = suspended[pos].suspension.evicted_split();
-                    let headroom = tracker.budget().saturating_sub(tracker.total_in_use());
-                    let fits = need_unified <= tracker.unified().available() + victim_unified
-                        && need_texture <= tracker.texture().available() + victim_texture
-                        && need_unified + need_texture
-                            <= headroom + victim_unified + victim_texture;
-                    if !fits {
-                        candidates.remove(choice);
-                        continue;
-                    }
-                } else {
-                    // Only preempt for a pending request its tenant cap
-                    // would actually let in.
-                    let request = pending
-                        .iter()
-                        .find(|(seq, _)| *seq == cand.seq)
-                        .map(|(_, r)| *r)
-                        .expect("candidate is pending");
-                    if let Some(cap) = self.effective_tenant_cap(&request.tenant) {
-                        // Memoized per request: this phase runs at every
-                        // command boundary, and repeated cache probes would
-                        // inflate the plan-cache hit counters.
-                        let estimate = match estimate_memo.get(&cand.seq) {
-                            Some(&estimate) => estimate,
-                            None => match self.cache.compile(engine, &request.model, device) {
-                                Ok((artifact, _)) => {
-                                    let estimate =
-                                        estimate_resident_bytes(&artifact, &request.model);
-                                    estimate_memo.insert(cand.seq, estimate);
-                                    estimate
-                                }
-                                Err(_) => {
-                                    // Compilation failures surface at
-                                    // admission.
-                                    candidates.remove(choice);
-                                    continue;
-                                }
-                            },
-                        };
-                        let used = tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
-                        if used.saturating_add(estimate) > cap {
-                            candidates.remove(choice);
-                            continue;
-                        }
-                    }
-                }
-                trigger = true;
-                break;
+                candidates.remove(choice);
             }
-            if !trigger {
-                return Ok(());
-            }
-
-            // Suspend the victim at its current command boundary: commands it
-            // already issued drain, no new ones are issued, and its resident
-            // memory is evicted for the higher-priority work.
-            let flight = in_flight.remove(victim_idx);
-            let local_now = (now - epoch).max(flight.stepper.makespan_ms());
-            let mut meta = flight.meta;
-            meta.preemptions += 1;
-            if trace.enabled() {
-                trace.span(
-                    TraceKind::Running,
-                    TraceLane::Request(meta.seq),
-                    &format!("run {}", meta.abbr),
-                    meta.run_start_ms,
-                    epoch + local_now,
-                );
-            }
-            let suspension = flight.stepper.suspend_evicting_traced(
-                clocks,
-                tracker,
-                local_now,
-                epoch,
-                trace,
-                TraceLane::Request(meta.seq),
-                &meta.abbr,
-            )?;
-            suspended.push(Suspended {
-                meta,
-                suspended_at_ms: epoch + local_now,
-                suspension,
-                ready_ms: f64::NEG_INFINITY,
-            });
+            break;
         }
         Ok(())
+    }
+
+    /// Resume suspended `pos` at `now`: re-acquire its residency and pay the
+    /// policy's reload penalty before its next command. Returns `false` to
+    /// defer while in-flight work may still free the memory; with nothing
+    /// running, the residency is unrecoverable and the request fails.
+    fn resume(&mut self, pos: usize, now: f64) -> SimResult<bool> {
+        if !self.suspended[pos].suspension.can_resume(&self.tracker) {
+            if !self.in_flight.is_empty() {
+                return Ok(false);
+            }
+            let suspended = self.suspended.remove(pos);
+            let requested = suspended.suspension.evicted_bytes();
+            self.makespan = self.makespan.max(now);
+            let meta = &suspended.meta;
+            decrement(&mut self.tenant_bytes, &meta.tenant, meta.estimate_bytes);
+            let (meta, _) = self.end_suspension(suspended, now);
+            let capacity = self.tracker.budget();
+            let error = SimError::OutOfMemory {
+                pool: "resume residency".to_string(),
+                requested,
+                available: capacity.saturating_sub(self.tracker.total_in_use()),
+                capacity,
+            };
+            let outcome = meta.into_outcome(self.dev, now, 0.0, Some(error), None);
+            self.settle(outcome, None, None);
+            return Ok(true);
+        }
+        let suspended = self.suspended.remove(pos);
+        let cost = self
+            .engine
+            .policy
+            .preemption()
+            .unwrap_or_else(PreemptionCost::free);
+        let resume_local = (now - self.epoch).max(0.0);
+        let (mut meta, suspension) = self.end_suspension(suspended, now);
+        let (stepper, penalty) = suspension.resume_into_traced(
+            &self.dev.sim,
+            &mut self.tracker,
+            resume_local,
+            self.epoch,
+            &cost,
+            &mut self.trace,
+            TraceLane::Request(meta.seq),
+            &meta.abbr,
+        )?;
+        meta.penalty_ms += penalty;
+        meta.run_start_ms = self.epoch + resume_local + penalty;
+        self.in_flight.push(InFlight { meta, stepper });
+        Ok(true)
+    }
+
+    /// Admit pending `seq` at `now`: compile (through the shared cache),
+    /// charge its tenant's cap and start stepping its lowered stream.
+    /// Returns `false` to defer while the tenant's in-flight work drains; a
+    /// compile error or a cap that cannot fit the model at all fails it.
+    fn admit_pending(&mut self, seq: usize, now: f64) -> SimResult<bool> {
+        let (engine, dev) = (self.engine, self.dev);
+        let position = self
+            .pending
+            .iter()
+            .position(|w| w.seq == seq)
+            .expect("candidate is pending");
+        let waiting = self.pending[position];
+        let request = waiting.request;
+        // Report warmth-at-run-start (the prologue snapshot), not
+        // `compile`'s racy mid-run flag: at pool width > 1 that flag records
+        // which device won the compile race.
+        let key = ArtifactCache::key_for(&dev.engine, &request.model, dev.spec);
+        let cache_hit = self.warm.contains(&key);
+        let compiled = engine.cache.compile_traced(
+            &dev.engine,
+            &request.model,
+            dev.spec,
+            now,
+            cache_hit,
+            TraceLane::Host,
+            &mut self.trace,
+        );
+        let artifact = match compiled {
+            Ok((artifact, _)) => artifact,
+            Err(error) => {
+                self.dequeue(position);
+                self.fail_waiting(waiting, now, error);
+                return Ok(true);
+            }
+        };
+        let estimate = estimate_resident_bytes(&artifact, &request.model);
+        if let Some(cap) = engine.effective_tenant_cap(&request.tenant) {
+            let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
+            if used.saturating_add(estimate) > cap {
+                if used > 0 {
+                    return Ok(false);
+                }
+                // The cap cannot fit this model at all.
+                self.dequeue(position);
+                let error = SimError::OutOfMemory {
+                    pool: format!("tenant `{}` cap", request.tenant),
+                    requested: estimate,
+                    available: cap,
+                    capacity: cap,
+                };
+                self.fail_waiting(waiting, now, error);
+                return Ok(true);
+            }
+        }
+
+        self.dequeue(position);
+        let stream = self.lowered(key, &artifact, &request.model);
+        let total_commands = stream.len();
+        let floor = (request.arrival_ms - self.epoch).max(0.0);
+        let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
+        if self.exclusive {
+            self.tracker.reset_trace();
+        }
+        *self.tenant_bytes.entry(request.tenant.clone()).or_insert(0) += estimate;
+        let predicted_ms = waiting.estimate_ms;
+        let start_ms = now.max(request.arrival_ms);
+        let admission_laxity_ms = waiting
+            .deadline_ms
+            .map(|deadline| deadline - start_ms - predicted_ms);
+        self.trace_admission(&waiting, start_ms, admission_laxity_ms);
+        let carry = waiting.carry;
+        let meta = FlightMeta {
+            seq,
+            abbr: request.model.abbr.clone(),
+            tenant: request.tenant.clone(),
+            priority: request.priority,
+            // Metrics measure from true submission, not from the recovery
+            // planner's re-dispatch floor.
+            arrival_ms: carry.original_arrival_ms,
+            deadline_ms: engine.effective_deadline(request),
+            start_ms,
+            cache_hit,
+            streamed_fraction: artifact.streamed_fraction(),
+            estimate_bytes: estimate,
+            predicted_ms,
+            total_commands,
+            admission_laxity_ms,
+            stolen_from: carry.stolen_from,
+            retries: carry.retries,
+            failed_over: carry.failed_over,
+            attempt: carry.retries + carry.hops,
+            trace_start: self.tracker.trace().len(),
+            order: self.admit_order,
+            run_start_ms: start_ms,
+            ..FlightMeta::default()
+        };
+        self.in_flight.push(InFlight { meta, stepper });
+        self.admit_order += 1;
+        Ok(true)
+    }
+
+    /// Close an admitted request's queue-wait span and mark its admission,
+    /// with its laxity when it carries a deadline.
+    fn trace_admission(&mut self, waiting: &Waiting<'_>, start_ms: f64, laxity_ms: Option<f64>) {
+        if !self.trace.enabled() {
+            return;
+        }
+        let (lane, arrival_ms) = (TraceLane::Request(waiting.seq), waiting.request.arrival_ms);
+        let abbr = &waiting.request.model.abbr;
+        let label = format!("queue {abbr}");
+        self.trace
+            .span(TraceKind::QueueWait, lane, &label, arrival_ms, start_ms);
+        let label = match laxity_ms {
+            Some(laxity) => format!("admit {abbr} laxity {laxity:.3} ms"),
+            None => format!("admit {abbr}"),
+        };
+        self.trace.instant(TraceKind::Admit, lane, &label, start_ms);
+    }
+
+    /// Step phase: issue the next command of the in-flight stream that can
+    /// start earliest (ties to the earliest admitted), unless the fault
+    /// plan's device loss or a per-command fault fires first. Returns
+    /// `false` once the device is lost.
+    fn step(&mut self) -> SimResult<bool> {
+        let (chosen, chosen_start, _) = self
+            .in_flight
+            .iter()
+            .enumerate()
+            .map(|(i, flight)| {
+                let start = flight.stepper.peek_start_ms(&self.clocks);
+                (i, start.unwrap_or(f64::INFINITY), flight.meta.order)
+            })
+            .min_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("start times are not NaN")
+                    .then(a.2.cmp(&b.2))
+            })
+            .expect("the step phase runs with work in flight");
+
+        if chosen_start.is_finite() {
+            if let Some(loss_ms) = self
+                .lost_at_ms
+                .filter(|&t| self.epoch + chosen_start + 1e-9 >= t)
+            {
+                self.lose_device(loss_ms)?;
+                return Ok(false);
+            }
+            if let Some(kind) = self.injected_fault(chosen) {
+                // A transient injected fault: fail this attempt exactly like
+                // a modelled mid-run error, but channel it to the recovery
+                // planner instead of the final outcome list.
+                let flight = self.in_flight.remove(chosen);
+                let at_ms = chosen_start;
+                self.retire(flight, Exit::Faulted { kind, at_ms })?;
+                return Ok(true);
+            }
+        }
+
+        let base = if self.exclusive { 0.0 } else { self.epoch };
+        let flight = &mut self.in_flight[chosen];
+        let stepped = flight.stepper.step_traced(
+            &self.dev.sim,
+            &mut self.clocks,
+            &mut self.tracker,
+            base,
+            self.epoch,
+            &mut self.trace,
+        );
+        match stepped {
+            Ok(Some(event)) => {
+                let meta = &mut flight.meta;
+                let queue = match event.queue {
+                    QueueKind::Transfer => {
+                        Some((&mut self.transfer_busy, &mut meta.transfer_intervals))
+                    }
+                    QueueKind::Compute => {
+                        Some((&mut self.compute_busy, &mut meta.compute_intervals))
+                    }
+                    QueueKind::Host => None,
+                };
+                if let Some((busy, intervals)) = queue {
+                    *busy += event.duration_ms();
+                    if event.end_ms > event.start_ms {
+                        intervals.push((event.start_ms, event.end_ms));
+                    }
+                }
+            }
+            Ok(None) => {}
+            Err(error) => {
+                // The request failed mid-run (modelled OOM): release what it
+                // held and keep serving everyone else.
+                let flight = self.in_flight.remove(chosen);
+                self.retire(flight, Exit::Failed(error))?;
+                return Ok(true);
+            }
+        }
+        if self.in_flight[chosen].stepper.is_done() {
+            let flight = self.in_flight.remove(chosen);
+            self.retire(flight, Exit::Done)?;
+        }
+        Ok(true)
+    }
+
+    /// The fault plan's draw for the next command of in-flight `index`.
+    fn injected_fault(&self, index: usize) -> Option<FaultKind> {
+        if !self.draws_faults {
+            return None;
+        }
+        let InFlight { meta, stepper } = &self.in_flight[index];
+        let executed = meta.total_commands.saturating_sub(stepper.remaining());
+        let plan = &self.engine.fault_plan;
+        plan.command_fault(self.dev.index, meta.seq, executed, meta.attempt)
+    }
+
+    /// The device dies at `loss_ms`, before its next command starts:
+    /// everything on it — running, suspended, queued — is stranded and
+    /// handed to the recovery planner as orphans, and the timeline stops.
+    fn lose_device(&mut self, loss_ms: f64) -> SimResult<()> {
+        self.lost = true;
+        self.makespan = self.makespan.max(loss_ms);
+        if self.trace.enabled() {
+            self.trace.instant(
+                TraceKind::Fault,
+                TraceLane::Host,
+                &format!("fault device-loss {}", self.dev.spec.name),
+                loss_ms,
+            );
+        }
+        for flight in std::mem::take(&mut self.in_flight) {
+            self.retire(flight, Exit::Lost { at_ms: loss_ms })?;
+        }
+        let loss = SimError::Fault {
+            kind: FaultKind::DeviceLoss,
+            at_ms: loss_ms,
+        };
+        let failover = self.engine.recovery.failover;
+        for suspended in std::mem::take(&mut self.suspended) {
+            let at = loss_ms.max(suspended.suspended_at_ms);
+            let (meta, suspension) = self.end_suspension(suspended, at);
+            let resume = failover.then(|| (meta.clone(), suspension));
+            let outcome = meta.into_outcome(self.dev, at, 0.0, Some(loss.clone()), None);
+            self.settle(outcome, None, resume);
+        }
+        for waiting in std::mem::take(&mut self.pending) {
+            let at = loss_ms.max(waiting.request.arrival_ms);
+            self.fail_waiting(waiting, at, loss.clone());
+        }
+        if self.exclusive {
+            self.stitched
+                .append_shifted(self.tracker.trace(), self.epoch);
+        }
+        Ok(())
+    }
+
+    /// Take `flight` off the device — the one exit of every in-flight
+    /// request. It frees the stream's memory, or freezes it for a same-spec
+    /// sibling when the device is lost with failover armed; in exclusive
+    /// mode it stitches the request's trace segment and starts the next
+    /// epoch; it returns the tenant reservation, extends the makespan and
+    /// settles the outcome. A lost device keeps its ledger and makespan:
+    /// its timeline ends at the loss instant.
+    fn retire(&mut self, flight: InFlight, exit: Exit) -> SimResult<()> {
+        let InFlight { meta, mut stepper } = flight;
+        let run_start = Some(meta.run_start_ms);
+        let ran_ms = stepper.makespan_ms();
+        // Exclusive mode frees memory on the stream's run-local clock.
+        let base = if self.exclusive { 0.0 } else { self.epoch };
+        let (local, error) = match exit {
+            Exit::Done => (ran_ms, None),
+            Exit::Failed(error) => (ran_ms, Some(error)),
+            Exit::Faulted { kind, at_ms } => {
+                let local = at_ms.max(ran_ms);
+                let at_ms = self.epoch + local;
+                (local, Some(SimError::Fault { kind, at_ms }))
+            }
+            Exit::Lost { at_ms } => {
+                let local = (at_ms - self.epoch).max(0.0).max(ran_ms);
+                let error = SimError::Fault {
+                    kind: FaultKind::DeviceLoss,
+                    at_ms,
+                };
+                let outcome =
+                    meta.clone()
+                        .into_outcome(self.dev, self.epoch + local, 0.0, Some(error), None);
+                // Close the lane before freezing the stream: the freeze is
+                // traced too.
+                trace_outcome(&mut self.trace, &outcome, run_start);
+                let resume = if self.engine.recovery.failover {
+                    let suspension = stepper.suspend_evicting_traced(
+                        &self.clocks,
+                        &mut self.tracker,
+                        local,
+                        self.epoch,
+                        &mut self.trace,
+                        TraceLane::Request(meta.seq),
+                        &meta.abbr,
+                    )?;
+                    Some((meta, suspension))
+                } else {
+                    stepper.release_remaining(&mut self.tracker, base + local)?;
+                    None
+                };
+                self.route(outcome, resume);
+                return Ok(());
+            }
+        };
+
+        let mut completion = self.epoch + local;
+        let mut peak_memory_mb = 0.0;
+        let mut report = None;
+        if self.exclusive && error.is_none() {
+            // The request ran in run-local time against a freshly reset
+            // trace: finalize exactly like the one-shot executor, stitch,
+            // then evict the whole model.
+            let executed = stepper.finish(&self.dev.sim, &mut self.tracker);
+            let finished = ExecutionReport::from_outcome(
+                "FlashMem",
+                &meta.abbr,
+                &executed,
+                meta.streamed_fraction,
+            );
+            let total = finished.integrated_latency_ms;
+            completion = self.epoch + total;
+            peak_memory_mb = finished.peak_memory_mb;
+            self.end_exclusive_segment(Some(&finished.memory_trace), total);
+            report = Some(finished);
+        } else {
+            if error.is_none() {
+                self.tracker.sample(completion);
+            }
+            stepper.release_remaining(&mut self.tracker, base + local)?;
+            if error.is_none() {
+                let peak_bytes = self.tracker.trace().samples()[meta.trace_start..]
+                    .iter()
+                    .map(|s| s.bytes)
+                    .max()
+                    .unwrap_or(0);
+                peak_memory_mb = peak_bytes as f64 / MIB;
+            }
+            if self.exclusive {
+                self.end_exclusive_segment(None, local);
+            }
+        }
+        decrement(&mut self.tenant_bytes, &meta.tenant, meta.estimate_bytes);
+        self.makespan = self.makespan.max(completion);
+        let outcome = meta.into_outcome(self.dev, completion, peak_memory_mb, error, report);
+        self.settle(outcome, run_start, None);
+        Ok(())
+    }
+
+    /// Exclusive mode: stitch a finished request's memory-trace `segment`
+    /// (the tracker's own when `None`) onto the device timeline at the
+    /// current epoch, evict the whole model, and start the next epoch
+    /// `local_ms` later on fresh queues.
+    fn end_exclusive_segment(&mut self, segment: Option<&MemoryTrace>, local_ms: f64) {
+        let segment = segment.unwrap_or(self.tracker.trace());
+        self.stitched.append_shifted(segment, self.epoch);
+        self.epoch += local_ms;
+        self.tracker.evict_all(self.epoch);
+        self.stitched.record(self.epoch, 0);
+        self.clocks.reset();
+    }
+
+    /// Fail a request that never executed (compile error, hopeless tenant
+    /// cap, device loss while still queued) with a wait-only outcome.
+    fn fail_waiting(&mut self, waiting: Waiting<'_>, now: f64, error: SimError) {
+        let Waiting {
+            seq,
+            request,
+            carry,
+            ..
+        } = waiting;
+        let outcome = RequestOutcome {
+            deadline_ms: self.engine.effective_deadline(request),
+            stolen_from: carry.stolen_from,
+            retries: carry.retries,
+            failed_over: carry.failed_over,
+            ..RequestOutcome::unstarted(
+                seq,
+                request,
+                self.dev,
+                carry.original_arrival_ms,
+                now,
+                Some(error),
+            )
+        };
+        self.settle(outcome, None, None);
+    }
+
+    /// Record `request` as shed by overload control: zero latency and queue
+    /// wait (it never occupied the device), no error — the typed
+    /// [`RejectCause`] is the whole story, and the metrics layer excludes
+    /// rejected requests from SLO accounting.
+    fn reject(
+        &mut self,
+        seq: usize,
+        request: &ServeRequest,
+        cause: RejectCause,
+        admission_laxity_ms: Option<f64>,
+        stolen_from: Option<usize>,
+    ) {
+        let at_ms = request.arrival_ms;
+        self.outcomes.push(RequestOutcome {
+            deadline_ms: self.engine.effective_deadline(request),
+            admission_laxity_ms,
+            rejected: Some(cause),
+            stolen_from,
+            ..RequestOutcome::unstarted(seq, request, self.dev, at_ms, at_ms, None)
+        });
+        if self.trace.enabled() {
+            self.trace.instant(
+                TraceKind::Reject,
+                TraceLane::Request(seq),
+                &format!("reject {} ({cause})", request.model.abbr),
+                at_ms,
+            );
+        }
+    }
+
+    /// Trace how a request ended and [`route`](Self::route) its outcome.
+    /// `run_start_ms` is `Some` when it was executing, to close its
+    /// `Running` span.
+    fn settle(&mut self, outcome: RequestOutcome, run_start_ms: Option<f64>, resume: ServeResume) {
+        trace_outcome(&mut self.trace, &outcome, run_start_ms);
+        self.route(outcome, resume);
+    }
+
+    /// File an outcome: an attempt an injected fault knocked out goes to the
+    /// recovery planner, with the recovery counters it brought into this
+    /// round and what a re-dispatch resumes from; anything else is final.
+    fn route(&mut self, outcome: RequestOutcome, resume: ServeResume) {
+        let Some(SimError::Fault { kind, .. }) = outcome.error else {
+            self.outcomes.push(outcome);
+            return;
+        };
+        let carry = self.carries.get(&outcome.seq);
+        self.orphans.push(Orphan {
+            kind,
+            retries: carry.map_or(0, |c| c.retries),
+            hops: carry.map_or(0, |c| c.hops),
+            outcome,
+            resume,
+        });
+    }
+
+    /// The round's result for the fleet driver. Every exit path hands back
+    /// what it held, so a drained device holds no memory and — unless it was
+    /// lost mid-run — no tenant reservation.
+    fn finish(self, requests: usize) -> DeviceRound<ServeResume> {
+        let dev = self.dev;
+        let name = &dev.spec.name;
+        assert_eq!(
+            self.tracker.total_in_use(),
+            0,
+            "{name}: device run ended with memory still allocated"
+        );
+        assert!(
+            self.lost || self.tenant_bytes.values().all(|&bytes| bytes == 0),
+            "{name}: device run ended with tenant reservations held: {:?}",
+            self.tenant_bytes
+        );
+        let memory_trace = if self.exclusive {
+            self.stitched
+        } else {
+            self.tracker.trace().clone()
+        };
+        let makespan = self.makespan;
+        let report = DeviceReport {
+            device: name.clone(),
+            requests,
+            completed: self.outcomes.iter().filter(|o| o.succeeded()).count(),
+            makespan_ms: makespan,
+            transfer_busy_ms: self.transfer_busy,
+            compute_busy_ms: self.compute_busy,
+            transfer_busy_fraction: DeviceReport::busy_fraction(self.transfer_busy, makespan),
+            compute_busy_fraction: DeviceReport::busy_fraction(self.compute_busy, makespan),
+            peak_memory_mb: memory_trace.peak_bytes() as f64 / MIB,
+            queue_depth_high_water: self.queue_high_water,
+            memory_trace,
+        };
+        DeviceRound {
+            outcomes: self.outcomes,
+            report,
+            trace: self.trace,
+            orphans: self.orphans,
+            lost: self.lost,
+        }
+    }
+}
+
+impl ServeLoop<'_> {
+    /// Probe dispatch: a quarantined (not lost) device past its probe delay
+    /// gets exactly one queued restart re-routed to it.
+    fn dispatch_probes(&self, fleet: &mut Fleet<'_>, work: &mut [ServeWork<'_>]) {
+        let fleet_len = fleet.len();
+        let horizon = fleet.makespan.iter().copied().fold(0.0_f64, f64::max);
+        for probe_dev in 0..fleet_len {
+            let Health::Quarantined {
+                since_ms,
+                probing: false,
+            } = fleet.health[probe_dev]
+            else {
+                continue;
+            };
+            if horizon - since_ms < self.engine.recovery.probe_after_ms {
+                continue;
+            }
+            let candidate = (0..fleet_len)
+                .filter(|&d| d != probe_dev)
+                .flat_map(|d| work[d].assigned.iter().map(move |a| (a.seq, d)))
+                .filter(|&(seq, _)| {
+                    self.engine
+                        .shard_set(&self.requests[seq].tenant)
+                        .is_none_or(|allowed| allowed.contains(&probe_dev))
+                })
+                .min();
+            let Some((seq, d)) = candidate else { continue };
+            let pos = work[d]
+                .assigned
+                .iter()
+                .position(|a| a.seq == seq)
+                .expect("candidate was just found in this queue");
+            let mut probe = work[d].assigned.remove(pos);
+            let arrival_ms = probe.request.arrival_ms.max(fleet.makespan[probe_dev]);
+            probe.request.to_mut().arrival_ms = arrival_ms;
+            fleet.tallies.probes += 1;
+            fleet.health[probe_dev] = Health::Quarantined {
+                since_ms,
+                probing: true,
+            };
+            if fleet.traces[probe_dev].enabled() {
+                fleet.traces[probe_dev].instant(
+                    TraceKind::Probe,
+                    TraceLane::Request(seq),
+                    &format!(
+                        "probe {} with {}",
+                        fleet.devices[probe_dev].spec.name, probe.request.model.abbr
+                    ),
+                    arrival_ms,
+                );
+            }
+            work[probe_dev].assigned.push(probe);
+        }
     }
 }
 
@@ -2148,14 +2074,34 @@ impl<'a> DeviceLoop for ServeLoop<'a> {
         work.assigned.iter().map(|a| &a.request.model)
     }
 
+    /// Run one device's timeline for one round, usually on a pool worker:
+    /// everything it touches is either owned by `work`, local to this call,
+    /// or a thread-safe shared structure (the plan cache). The returned
+    /// [`TraceRecorder`] is this device's private event buffer, merged
+    /// (deterministically, in fleet order) at the round's commit point.
+    /// Attempts an injected fault knocks out come back as orphans for the
+    /// recovery planner instead of final outcomes.
     fn run_device(
         &self,
         device: &Device<'_>,
         warm: &HashSet<u64>,
         work: ServeWork<'a>,
     ) -> SimResult<DeviceRound<ServeResume>> {
-        self.engine
-            .run_device(device, warm, work, &self.stolen_from)
+        let requests = work.assigned.len() + work.prerejected.len() + work.seeds.len();
+        let stolen = &self.stolen_from;
+        let mut run = ServeDeviceRun::new(self.engine, device, warm, stolen, &work.assigned);
+        run.seed(work.seeds);
+        // Admission-control rejects were decided in the run prologue; their
+        // outcomes and trace instants are emitted here so each lands on its
+        // placed device's private buffers and flows through the ordered
+        // merge like everything else.
+        for (seq, request, laxity) in work.prerejected {
+            let cause = RejectCause::DeadlineUnmeetable;
+            run.reject(seq, request, cause, Some(laxity), None);
+        }
+        run.trace_steals();
+        run.run()?;
+        Ok(run.finish(requests))
     }
 
     /// The sequential recovery planner. It first drives the circuit breaker:
@@ -2222,9 +2168,7 @@ impl<'a> DeviceLoop for ServeLoop<'a> {
         let mut work: Vec<ServeWork<'a>> = (0..fleet_len).map(|_| ServeWork::default()).collect();
         for orphan in orphans {
             let seq = orphan.outcome.seq;
-            let allowed = engine
-                .shard_set(&self.requests[seq].tenant, fleet_len)
-                .unwrap_or_else(|| (0..fleet_len).collect());
+            let allowed = engine.allowed_devices(&self.requests[seq].tenant);
             // A destination must be inside the tenant's shard set and must
             // not itself be lost before the re-dispatch could start.
             let usable = |d: usize, ready_ms: f64| {
@@ -2250,10 +2194,10 @@ impl<'a> DeviceLoop for ServeLoop<'a> {
                     // A resumed suspension draws its faults as a first
                     // attempt on its new device.
                     meta.attempt = 0;
-                    work[to.dest].seeds.push(SeededSuspension {
+                    work[to.dest].seeds.push(Suspended {
                         meta,
-                        suspension,
                         suspended_at_ms: orphan.outcome.completion_ms,
+                        suspension,
                         ready_ms: to.ready_ms,
                     });
                 }
@@ -2275,56 +2219,7 @@ impl<'a> DeviceLoop for ServeLoop<'a> {
             }
         }
 
-        // Probe dispatch: a quarantined (not lost) device past its probe
-        // delay gets exactly one queued restart re-routed to it.
-        let horizon = fleet.makespan.iter().copied().fold(0.0_f64, f64::max);
-        for probe_dev in 0..fleet_len {
-            let Health::Quarantined {
-                since_ms,
-                probing: false,
-            } = fleet.health[probe_dev]
-            else {
-                continue;
-            };
-            if horizon - since_ms < engine.recovery.probe_after_ms {
-                continue;
-            }
-            let candidate = (0..fleet_len)
-                .filter(|&d| d != probe_dev)
-                .flat_map(|d| work[d].assigned.iter().map(move |a| (a.seq, d)))
-                .filter(|&(seq, _)| {
-                    engine
-                        .shard_set(&self.requests[seq].tenant, fleet_len)
-                        .is_none_or(|allowed| allowed.contains(&probe_dev))
-                })
-                .min();
-            let Some((seq, d)) = candidate else { continue };
-            let pos = work[d]
-                .assigned
-                .iter()
-                .position(|a| a.seq == seq)
-                .expect("candidate was just found in this queue");
-            let mut probe = work[d].assigned.remove(pos);
-            let arrival_ms = probe.request.arrival_ms.max(fleet.makespan[probe_dev]);
-            probe.request.to_mut().arrival_ms = arrival_ms;
-            fleet.tallies.probes += 1;
-            fleet.health[probe_dev] = Health::Quarantined {
-                since_ms,
-                probing: true,
-            };
-            if fleet.traces[probe_dev].enabled() {
-                fleet.traces[probe_dev].instant(
-                    TraceKind::Probe,
-                    TraceLane::Request(seq),
-                    &format!(
-                        "probe {} with {}",
-                        fleet.devices[probe_dev].spec.name, probe.request.model.abbr
-                    ),
-                    arrival_ms,
-                );
-            }
-            work[probe_dev].assigned.push(probe);
-        }
+        self.dispatch_probes(fleet, &mut work);
         work
     }
 }
@@ -2335,60 +2230,39 @@ fn decrement(tenant_bytes: &mut HashMap<String, u64>, tenant: &str, bytes: u64) 
     }
 }
 
-/// Close a completed request's lifecycle on its trace lane: the final
-/// `Running` span, a completion instant, and — when the deadline was missed
-/// — an [`TraceKind::SloMiss`] instant tagged with the miss cause.
-fn trace_completion(trace: &mut TraceRecorder, outcome: &RequestOutcome, run_start_ms: f64) {
+/// Close a request's lifecycle on its trace lane: the final `Running` span
+/// when it was executing (`run_start_ms`), then how it ended — a completion
+/// instant (plus a [`TraceKind::SloMiss`] instant tagged with the miss cause
+/// when the deadline was missed), an injected-fault instant, or a failure
+/// instant.
+fn trace_outcome(trace: &mut TraceRecorder, outcome: &RequestOutcome, run_start_ms: Option<f64>) {
     if !trace.enabled() {
         return;
     }
     let lane = TraceLane::Request(outcome.seq);
-    trace.span(
-        TraceKind::Running,
-        lane,
-        &format!("run {}", outcome.model),
-        run_start_ms,
-        outcome.completion_ms,
-    );
-    trace.instant(
-        TraceKind::Complete,
-        lane,
-        &format!("complete {}", outcome.model),
-        outcome.completion_ms,
-    );
-    if let Some(cause) = outcome.miss_cause() {
-        trace.instant(
-            TraceKind::SloMiss,
-            lane,
-            &format!("slo miss {} ({cause:?})", outcome.model),
-            outcome.completion_ms,
-        );
-    }
-}
-
-/// Close a failed request's lifecycle on its trace lane; `run_start_ms` is
-/// `Some` when the request had started executing (mid-run failure) so the
-/// partial `Running` span is closed too.
-fn trace_failure(trace: &mut TraceRecorder, outcome: &RequestOutcome, run_start_ms: Option<f64>) {
-    if !trace.enabled() {
-        return;
-    }
-    let lane = TraceLane::Request(outcome.seq);
+    let (model, at) = (&outcome.model, outcome.completion_ms);
     if let Some(run_start) = run_start_ms {
         trace.span(
             TraceKind::Running,
             lane,
-            &format!("run {}", outcome.model),
+            &format!("run {model}"),
             run_start,
-            outcome.completion_ms,
+            at,
         );
     }
-    trace.instant(
-        TraceKind::Fail,
-        lane,
-        &format!("fail {}", outcome.model),
-        outcome.completion_ms,
-    );
+    match &outcome.error {
+        None => {
+            trace.instant(TraceKind::Complete, lane, &format!("complete {model}"), at);
+            if let Some(cause) = outcome.miss_cause() {
+                let label = format!("slo miss {model} ({cause:?})");
+                trace.instant(TraceKind::SloMiss, lane, &label, at);
+            }
+        }
+        Some(SimError::Fault { kind, .. }) => {
+            trace.instant(TraceKind::Fault, lane, &format!("fault {kind} {model}"), at);
+        }
+        Some(_) => trace.instant(TraceKind::Fail, lane, &format!("fail {model}"), at),
+    }
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -2433,22 +2307,20 @@ mod tests {
         // Reference scan that needs no ordering: filter the whole pending
         // list, then append the ready suspensions.
         fn full_filter(
-            pending: &[(usize, &ServeRequest)],
+            pending: &[Waiting<'_>],
             suspended: &[Suspended],
             now: f64,
-            deadlines: &HashMap<usize, Option<f64>>,
-            estimates: &HashMap<usize, f64>,
             gate: Option<&HashSet<usize>>,
         ) -> Vec<PendingEntry> {
             let mut candidates: Vec<PendingEntry> = pending
                 .iter()
-                .filter(|(seq, r)| r.arrival_ms <= now && gate.is_none_or(|g| g.contains(seq)))
-                .map(|(seq, r)| PendingEntry {
-                    seq: *seq,
-                    priority: r.priority,
-                    arrival_ms: r.arrival_ms,
-                    deadline_ms: deadlines.get(seq).copied().flatten(),
-                    estimated_remaining_ms: estimates.get(seq).copied().unwrap_or(0.0),
+                .filter(|w| w.request.arrival_ms <= now && gate.is_none_or(|g| g.contains(&w.seq)))
+                .map(|w| PendingEntry {
+                    seq: w.seq,
+                    priority: w.request.priority,
+                    arrival_ms: w.request.arrival_ms,
+                    deadline_ms: w.deadline_ms,
+                    estimated_remaining_ms: w.estimate_ms,
                 })
                 .collect();
             candidates.extend(suspended.iter().filter(|s| s.ready_ms <= now).map(|s| {
@@ -2475,14 +2347,18 @@ mod tests {
                     .with_priority((i % 3) as u8)
             })
             .collect();
-        let mut pending: Vec<(usize, &ServeRequest)> = requests.iter().enumerate().collect();
+        let mut pending: Vec<Waiting<'_>> = requests
+            .iter()
+            .enumerate()
+            .map(|(seq, request)| Waiting {
+                seq,
+                request,
+                carry: ServeCarry::default(),
+                deadline_ms: Some(100.0 + seq as f64),
+                estimate_ms: 5.0 * seq as f64,
+            })
+            .collect();
         pending.remove(2);
-        let deadlines: HashMap<usize, Option<f64>> = (0..arrivals.len())
-            .map(|seq| (seq, Some(100.0 + seq as f64)))
-            .collect();
-        let estimates: HashMap<usize, f64> = (0..arrivals.len())
-            .map(|seq| (seq, 5.0 * seq as f64))
-            .collect();
         let gate: HashSet<usize> = [0, 1, 3, 6].into_iter().collect();
 
         // One suspension always ready, one backing off until 25 ms.
@@ -2515,9 +2391,8 @@ mod tests {
         let mut checked = 0;
         for now in [-1.0, 0.0, 5.0, 10.0, 20.0, 25.0, 30.0, 44.9, 45.0, 1e9] {
             for gate in [None, Some(&gate)] {
-                let bounded =
-                    arrived_candidates(&pending, &suspended, now, &deadlines, &estimates, gate);
-                let full = full_filter(&pending, &suspended, now, &deadlines, &estimates, gate);
+                let bounded = arrived_candidates(&pending, &suspended, now, gate);
+                let full = full_filter(&pending, &suspended, now, gate);
                 assert_eq!(bounded, full, "now {now}, gated {}", gate.is_some());
                 checked += bounded.len();
             }
