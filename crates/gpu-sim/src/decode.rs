@@ -105,8 +105,9 @@ impl DecodeStepPlan {
 }
 
 /// Replay any lowered stream against idle queues at absolute time `now_ms`,
-/// releasing whatever it leaves allocated once it drains. Used for prefill
-/// passes and decode steps alike.
+/// releasing whatever it leaves allocated once it drains — or once a
+/// command fails, so a failed replay leaves `tracker` as it found it. Used
+/// for prefill passes and decode steps alike.
 ///
 /// # Errors
 ///
@@ -121,8 +122,13 @@ pub fn replay_stream(
     let mut clocks = QueueClocks::new();
     let mut cost = StepCost::default();
     while !stepper.is_done() {
-        let Some(ev) = stepper.step(sim, &mut clocks, tracker, now_ms)? else {
-            break;
+        let ev = match stepper.step(sim, &mut clocks, tracker, now_ms) {
+            Ok(Some(ev)) => ev,
+            Ok(None) => break,
+            Err(error) => {
+                stepper.release_remaining(tracker, now_ms + stepper.makespan_ms())?;
+                return Err(error);
+            }
         };
         match ev.queue {
             QueueKind::Transfer => cost.transfer_busy_ms += ev.duration_ms(),
@@ -352,6 +358,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use crate::engine::{Command, SimConfig};
+    use crate::error::SimError;
     use crate::kernel::{KernelCategory, KernelDesc};
 
     fn step_stream() -> CommandStream {
@@ -416,6 +423,27 @@ mod tests {
             eight.makespan_ms,
             8.0 * one.makespan_ms
         );
+    }
+
+    #[test]
+    fn failed_replay_releases_what_it_allocated() {
+        let (sim, mut tracker) = harness();
+        let mut s = CommandStream::new();
+        let a = s.push(Command::alloc(
+            "fits",
+            MemoryTier::UnifiedMemory,
+            16 << 20,
+            &[],
+        ));
+        s.push(Command::alloc(
+            "too big",
+            MemoryTier::UnifiedMemory,
+            tracker.budget(),
+            &[a],
+        ));
+        let err = replay_stream(&s, &sim, &mut tracker, 5.0).unwrap_err();
+        assert!(matches!(err, SimError::OutOfMemory { .. }), "{err}");
+        assert_eq!(tracker.total_in_use(), 0);
     }
 
     #[test]
