@@ -15,7 +15,7 @@
 use flashmem_core::cache::Fnv1a;
 use flashmem_core::pool::ThreadPool;
 use flashmem_core::FlashMemConfig;
-use flashmem_gpu_sim::{DeviceSpec, FaultPlan};
+use flashmem_gpu_sim::{DeviceSpec, FaultPlan, SimError};
 use flashmem_graph::ModelZoo;
 use flashmem_serve::{
     ArrivalPattern, BatchConfig, DeadlinePreemptivePolicy, DecodeEngine, DecodeWorkloadSpec,
@@ -353,4 +353,48 @@ fn decode_chaos_report_is_pinned() {
     let recovery = report.recovery;
     assert!(recovery.retries > 0, "the case must retry\n{report}");
     assert!(recovery.failovers > 0, "the case must fail over\n{report}");
+}
+
+#[test]
+fn decode_midrun_oom_report_is_pinned() {
+    // Long prompts, longest first, on a phone with a 330 MiB app budget:
+    // the first batch's KV leaves no room for a decode step's transients,
+    // so that step's replay fails out of memory, and the later, shorter
+    // batches complete.
+    let requests: Vec<ServeRequest> = (0..8)
+        .map(|i| {
+            ServeRequest::new(ModelZoo::gptneo_small(), format!("tenant-{}", i % 2))
+                .with_decode_tokens(550 - 50 * i, 64)
+        })
+        .collect();
+    let report = check("decode mid-run oom", 0x7695_4821_c909_9b0e, |pool| {
+        DecodeEngine::new(
+            vec![DeviceSpec::pixel_8().with_app_budget_bytes(330 * MIB)],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_batching(BatchConfig {
+            token_budget: 1200,
+            ..BatchConfig::default()
+        })
+        .with_trace(TraceConfig::enabled())
+        .run_on(pool, &requests)
+        .expect("mid-run oom decode run succeeds")
+    });
+    // A KV allocation requests exactly one token's stride; a replay's
+    // transients request anything else.
+    let stride = ModelZoo::gptneo_small()
+        .decode()
+        .expect("GPTN-S decodes")
+        .kv_bytes_per_token;
+    assert!(
+        report.outcomes.iter().any(|o| {
+            o.failure == Some(FailureCause::OutOfMemory)
+                && matches!(
+                    o.error,
+                    Some(SimError::OutOfMemory { requested, .. }) if requested != stride
+                )
+        }),
+        "the case must fail a prefill or step replay out of memory\n{report}"
+    );
+    assert!(report.completed() > 0, "later batches complete\n{report}");
 }
