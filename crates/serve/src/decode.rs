@@ -31,8 +31,11 @@
 //!    in abbreviation order) and each group replays its batched step stream;
 //!    every member's KV cache grows by one token and emits one token at the
 //!    step's end.
-//! 3. **Leave** — requests that have emitted their last token leave at the
-//!    boundary and release their KV residency in one sweep.
+//! 3. **Leave** — requests that have emitted their last token, or failed,
+//!    leave at the boundary through `retire`, the one way every request
+//!    takes off the device, which releases their KV residency in one sweep.
+//!    A device run therefore ends drained: it asserts that no KV or
+//!    transient bytes are still allocated.
 //!
 //! ## Determinism
 //!
@@ -56,13 +59,13 @@
 //! model the same way.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use flashmem_core::cache::ArtifactCache;
 use flashmem_core::pool::{self, ThreadPool};
 use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
-use flashmem_core::{FlashMem, FlashMemConfig};
+use flashmem_core::FlashMemConfig;
 use flashmem_gpu_sim::decode::replay_stream;
 use flashmem_gpu_sim::engine::CommandStream;
 use flashmem_gpu_sim::error::SimResult;
@@ -70,14 +73,14 @@ use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::{DecodeSession, DecodeStepPlan, DeviceSpec, SimError, StepCost};
 use flashmem_graph::ModelSpec;
 
-use crate::fleet::{Attempt, Device, DeviceLoop, DeviceRound, Fleet, Orphan};
-use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
+use crate::fleet::{
+    sort_by_arrival, Attempt, Device, DeviceLedger, DeviceLoop, DeviceRound, Fleet, Orphan, MIB,
+};
+use crate::metrics::{DecodeOutcome, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
 use crate::request::{DecodeParams, FailureCause, ServeRequest};
 use crate::server::lower_artifact;
 use flashmem_gpu_sim::{FaultKind, FaultPlan};
-
-const MIB: f64 = 1024.0 * 1024.0;
 
 /// Continuous-batching knobs. The defaults are deliberately conservative:
 /// a batch of 8 and a 2048-token KV budget fit every autoregressive model in
@@ -130,16 +133,15 @@ struct ModelPlans {
     step_plan: DecodeStepPlan,
     /// KV bytes appended per context token.
     kv_bytes_per_token: u64,
+    /// Memoized prefill cost, and step cost per batch size (module docs).
+    prefill_cost: Option<StepCost>,
+    step_costs: HashMap<usize, StepCost>,
 }
 
 /// One in-flight generative request on a device.
-struct ActiveDecode {
+struct ActiveDecode<'r> {
     seq: usize,
-    abbr: String,
-    tenant: String,
-    priority: u8,
-    arrival_ms: f64,
-    deadline_ms: Option<f64>,
+    request: &'r ServeRequest,
     /// Prefill start (admission) time.
     start_ms: f64,
     cache_hit: bool,
@@ -153,18 +155,22 @@ struct ActiveDecode {
     compute_intervals: Vec<(f64, f64)>,
     /// Step failure, if one of this request's steps could not complete.
     error: Option<SimError>,
-    /// Tokens emitted by *earlier* attempts (a re-prefilled request resumes
-    /// from this position; 0 on a first attempt).
-    resumed_tokens: u32,
-    /// Retry redispatches this request consumed before this attempt.
-    retries: u32,
-    /// Device-loss failover hops this request consumed before this attempt.
-    hops: u32,
-    /// Whether an earlier attempt ran (and died) on a different device.
-    failed_over: bool,
+    /// The recovery state this attempt brought into the round.
+    carry: DecodeCarry,
 }
 
-impl ActiveDecode {
+impl ActiveDecode<'_> {
+    /// Fail this attempt with the injected fault `kind` at `at_ms`, traced
+    /// on its lane (`pass` names the pass that took it).
+    fn fault(&mut self, trace: &mut TraceRecorder, kind: FaultKind, at_ms: f64, pass: &str) {
+        self.error = Some(SimError::Fault { kind, at_ms });
+        if trace.enabled() {
+            let abbr = &self.request.model.abbr;
+            let name = format!("fault {kind} {abbr}{pass}");
+            trace.instant(TraceKind::Fault, TraceLane::Request(self.seq), &name, at_ms);
+        }
+    }
+
     /// Build the outcome row at `completion_ms`, consuming the entry. The
     /// session's KV must already be released.
     fn into_outcome(
@@ -173,8 +179,9 @@ impl ActiveDecode {
         completion_ms: f64,
         peak_memory_mb: f64,
     ) -> RequestOutcome {
-        let queue_wait_ms = (self.start_ms - self.arrival_ms).max(0.0);
-        let latency_ms = (completion_ms - self.arrival_ms).max(0.0);
+        let arrival_ms = self.carry.original_arrival_ms;
+        let queue_wait_ms = (self.start_ms - arrival_ms).max(0.0);
+        let latency_ms = (completion_ms - arrival_ms).max(0.0);
         let phases = PhaseBreakdown::attribute(
             latency_ms,
             queue_wait_ms,
@@ -183,59 +190,49 @@ impl ActiveDecode {
             &self.transfer_intervals,
             &self.compute_intervals,
         );
-        let times = self.session.token_times_ms();
-        let decode = if self.error.is_none() {
-            // A re-prefilled attempt's session holds `original prompt +
-            // resumed` context and emits only the remaining tokens; the
-            // outcome reports the submission's cumulative view.
-            Some(DecodeOutcome {
-                prompt_tokens: self.session.prompt_tokens() - self.resumed_tokens,
-                output_tokens: self.resumed_tokens + self.session.emitted_tokens(),
-                ttft_ms: times.first().map_or(0.0, |t| t - self.arrival_ms),
-                itl_ms: times.windows(2).map(|w| w[1] - w[0]).collect(),
-                kv_peak_bytes: self.session.max_context_tokens()
-                    * self.session.kv().bytes_per_token(),
-                max_batch: self.max_batch_seen,
-            })
-        } else {
-            None
-        };
+        let session = &self.session;
+        let kv_peak_bytes = session.max_context_tokens() * session.kv().bytes_per_token();
+        let resumed_tokens = self.carry.resumed_tokens;
+        let times = session.token_times_ms();
+        // A re-prefilled attempt's session holds `original prompt + resumed`
+        // context and emits only the remaining tokens; the outcome reports
+        // the submission's cumulative view.
+        let decode = self.error.is_none().then(|| DecodeOutcome {
+            prompt_tokens: session.prompt_tokens() - resumed_tokens,
+            output_tokens: resumed_tokens + session.emitted_tokens(),
+            ttft_ms: times.first().map_or(0.0, |t| t - arrival_ms),
+            itl_ms: times.windows(2).map(|w| w[1] - w[0]).collect(),
+            kv_peak_bytes,
+            max_batch: self.max_batch_seen,
+        });
         RequestOutcome {
-            seq: self.seq,
-            model: self.abbr,
-            tenant: self.tenant,
-            priority: self.priority,
-            device: device.spec.name.clone(),
-            device_index: device.index,
-            arrival_ms: self.arrival_ms,
             start_ms: self.start_ms,
-            completion_ms,
             queue_wait_ms,
             latency_ms,
-            deadline_ms: self.deadline_ms,
-            admission_laxity_ms: None,
-            resident_estimate_bytes: self.session.max_context_tokens()
-                * self.session.kv().bytes_per_token(),
-            preemptions: 0,
-            suspended_ms: 0.0,
-            resume_penalty_ms: 0.0,
+            resident_estimate_bytes: kv_peak_bytes,
             cache_hit: self.cache_hit,
             peak_memory_mb,
             phases,
-            rejected: None,
-            stolen_from: None,
             failure: self.error.as_ref().map(FailureCause::from_error),
-            retries: self.retries,
-            failed_over: self.failed_over,
+            retries: self.carry.retries,
+            failed_over: self.carry.failed_over,
             error: self.error,
-            report: None,
             decode,
+            ..RequestOutcome::unstarted(
+                self.seq,
+                self.request,
+                device,
+                arrival_ms,
+                completion_ms,
+                None,
+            )
         }
     }
 }
 
-/// Attempt state a re-dispatched decode request carries between rounds.
-#[derive(Debug, Clone, Copy)]
+/// Attempt state a decode request carries between rounds (on a first
+/// attempt: its arrival and zero counters).
+#[derive(Debug, Clone, Copy, Default)]
 struct DecodeCarry {
     /// The submission's true arrival (the re-dispatched copy's `arrival_ms`
     /// is the ready floor, not the arrival).
@@ -250,15 +247,29 @@ struct DecodeCarry {
     failed_over: bool,
 }
 
-impl DecodeCarry {
-    /// Stamp a freshly admitted entry with its carried attempt state.
-    fn apply(&self, entry: &mut ActiveDecode) {
-        entry.arrival_ms = self.original_arrival_ms;
-        entry.resumed_tokens = self.resumed_tokens;
-        entry.retries = self.retries;
-        entry.hops = self.hops;
-        entry.failed_over = self.failed_over;
-    }
+/// A request placed on the device that has not joined its batch yet.
+#[derive(Clone, Copy)]
+struct Waiting<'r> {
+    seq: usize,
+    request: &'r ServeRequest,
+    /// The recovery state this attempt brings into the round.
+    carry: DecodeCarry,
+}
+
+/// How a request leaves its decode device.
+enum Exit {
+    /// It leaves the batch at the current step boundary: its last token is
+    /// out, or a step error or an injected fault recorded on the entry
+    /// ended it.
+    Leave,
+    /// Joining failed at the current boundary: a compile, prefill-replay
+    /// or KV error.
+    Refused(SimError),
+    /// Its maximum context alone exceeds the token budget, so it can never
+    /// join a batch: it fails unstarted at its arrival.
+    OverBudget,
+    /// The device was lost; the request's work there ends at `at_ms`.
+    Lost { at_ms: f64 },
 }
 
 /// One device's share of a decode round.
@@ -293,7 +304,9 @@ impl<'a> DeviceLoop for DecodeLoop<'a> {
         warm: &HashSet<u64>,
         work: DecodeWork<'a>,
     ) -> SimResult<DeviceRound<DecodeResume>> {
-        self.engine.run_device(device, warm, work)
+        let mut run = DecodeDeviceRun::new(self.engine, device, warm, &work);
+        run.run()?;
+        Ok(run.finish(work.len()))
     }
 
     /// Re-dispatch every orphan through [`Fleet::redispatch`] (retry with
@@ -332,36 +345,6 @@ impl<'a> DeviceLoop for DecodeLoop<'a> {
             });
         }
         work
-    }
-}
-
-/// Route a finished (or fault-killed) entry: injected faults become orphans
-/// for the planner; everything else commits its outcome row here.
-fn push_entry(
-    entry: ActiveDecode,
-    outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<Orphan<DecodeResume>>,
-    device: &Device<'_>,
-    completion_ms: f64,
-    peak_memory_mb: f64,
-) {
-    let fault = match &entry.error {
-        Some(SimError::Fault { kind, .. }) => Some(*kind),
-        _ => None,
-    };
-    let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
-    let retries = entry.retries;
-    let hops = entry.hops;
-    let outcome = entry.into_outcome(device, completion_ms, peak_memory_mb);
-    match fault {
-        Some(kind) => orphans.push(Orphan {
-            outcome,
-            kind,
-            retries,
-            hops,
-            resume: emitted,
-        }),
-        None => outcomes.push(outcome),
     }
 }
 
@@ -529,13 +512,7 @@ impl DecodeEngine {
         // has no policy hook yet, and round-robin keeps per-device batches
         // balanced, which is what batching throughput wants.
         let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            requests[a]
-                .arrival_ms
-                .partial_cmp(&requests[b].arrival_ms)
-                .expect("arrival times are finite")
-                .then(a.cmp(&b))
-        });
+        sort_by_arrival(&mut order, |&seq| (requests[seq].arrival_ms, seq));
         let fleet = Fleet::new(
             &self.fleet,
             &self.config,
@@ -559,514 +536,477 @@ impl DecodeEngine {
         };
         fleet.run(pool, &device_loop, work, warm, policy)
     }
+}
 
-    /// Run one device's step loop for one round of the fleet driver.
-    /// Single-threaded per device; a pure function of the round's work (the
-    /// requests placed here plus the recovery state re-dispatched attempts
-    /// carry), so the result is identical at every pool width.
-    #[allow(clippy::too_many_lines)]
-    fn run_device(
-        &self,
-        dev: &Device<'_>,
-        warm: &HashSet<u64>,
-        work: DecodeWork<'_>,
-    ) -> SimResult<DeviceRound<DecodeResume>> {
-        let Device {
-            index: device_index,
-            spec: device,
-            engine,
-            sim,
-        } = dev;
-        let device_index = *device_index;
-        let mut trace = TraceRecorder::new(self.trace);
-        let mut tracker = MemoryTracker::for_device(device);
-        let carry: HashMap<usize, DecodeCarry> = work
+/// One device's step loop for one round of the fleet driver: everything the
+/// loop carries between step boundaries. Single-threaded per device and a
+/// pure function of the round's work (the requests placed here plus the
+/// recovery state re-dispatched attempts carry), so the result is identical
+/// at every pool width. The loop is a sequence of phases on it — the idle
+/// jump, device loss, join (one prefill at a time), the batched step and
+/// leave — and every request leaves the device through one door,
+/// [`retire`](Self::retire).
+struct DecodeDeviceRun<'r> {
+    engine: &'r DecodeEngine,
+    dev: &'r Device<'r>,
+    /// Plan-cache keys compiled when the round began.
+    warm: &'r HashSet<u64>,
+    draws_faults: bool,
+    lost_at_ms: Option<f64>,
+    lost: bool,
+    trace: TraceRecorder,
+    tracker: MemoryTracker,
+    /// Requests not yet joined, sorted by `(arrival_ms, seq)`.
+    waiting: VecDeque<Waiting<'r>>,
+    active: Vec<ActiveDecode<'r>>,
+    plans: HashMap<String, ModelPlans>,
+    /// The current step boundary on the device clock.
+    now: f64,
+    ledger: DeviceLedger<DecodeResume>,
+}
+
+impl<'r> DecodeDeviceRun<'r> {
+    fn new(
+        engine: &'r DecodeEngine,
+        dev: &'r Device<'r>,
+        warm: &'r HashSet<u64>,
+        work: &'r [Attempt<'_, DecodeCarry>],
+    ) -> Self {
+        let mut waiting: Vec<Waiting<'r>> = work
             .iter()
-            .filter_map(|a| a.carry.map(|c| (a.seq, c)))
+            .map(|a| Waiting {
+                seq: a.seq,
+                request: a.request.as_ref(),
+                carry: a.carry.unwrap_or(DecodeCarry {
+                    original_arrival_ms: a.request.arrival_ms,
+                    ..DecodeCarry::default()
+                }),
+            })
             .collect();
-        // A fresh entry for an admitted request, stamped with the recovery
-        // state of a re-dispatched attempt.
-        let admit = |seq: usize, request: &ServeRequest, start_ms: f64| {
-            let mut entry = self.admit_entry(seq, request, warm, engine, device, start_ms);
-            if let Some(carry) = carry.get(&seq) {
-                carry.apply(&mut entry);
-            }
-            entry
-        };
-        // The outcome row of an entry that failed while being admitted, at
-        // the tracker's peak so far.
-        let admission_failure = |mut entry: ActiveDecode, error, at_ms, tracker: &MemoryTracker| {
-            entry.error = Some(error);
-            entry.into_outcome(dev, at_ms, tracker.peak_bytes() as f64 / MIB)
-        };
-        let mut waiting: Vec<(usize, &ServeRequest)> =
-            work.iter().map(|a| (a.seq, a.request.as_ref())).collect();
-        waiting.sort_by(|a, b| {
-            a.1.arrival_ms
-                .partial_cmp(&b.1.arrival_ms)
-                .expect("arrival times are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        let total = waiting.len();
+        sort_by_arrival(&mut waiting, |w| (w.request.arrival_ms, w.seq));
+        DecodeDeviceRun {
+            engine,
+            dev,
+            warm,
+            draws_faults: !engine.fault_plan.is_empty(),
+            lost_at_ms: engine.fault_plan.device_loss_ms(dev.index),
+            lost: false,
+            trace: TraceRecorder::new(engine.trace),
+            tracker: MemoryTracker::for_device(dev.spec),
+            waiting: waiting.into(),
+            active: Vec::new(),
+            plans: HashMap::new(),
+            now: 0.0,
+            ledger: DeviceLedger::default(),
+        }
+    }
 
-        let mut plans: HashMap<String, ModelPlans> = HashMap::new();
-        let mut prefill_costs: HashMap<String, StepCost> = HashMap::new();
-        let mut step_costs: HashMap<(String, usize), StepCost> = HashMap::new();
-
-        let mut active: Vec<ActiveDecode> = Vec::new();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut orphans: Vec<Orphan<DecodeResume>> = Vec::new();
-        let lost_at = self.fault_plan.device_loss_ms(device_index);
-        let draws_faults = !self.fault_plan.is_empty();
-        let mut lost = false;
-        let mut widx = 0usize;
-        let mut now = 0.0_f64;
-        let mut transfer_busy = 0.0_f64;
-        let mut compute_busy = 0.0_f64;
-        let mut high_water = 0usize;
-
-        while widx < waiting.len() || !active.is_empty() {
+    fn run(&mut self) -> SimResult<()> {
+        while !self.waiting.is_empty() || !self.active.is_empty() {
             // An idle device jumps to the next arrival.
-            if active.is_empty() {
-                if let Some(&(_, next)) = waiting.get(widx) {
-                    now = now.max(next.arrival_ms);
+            if self.active.is_empty() {
+                if let Some(next) = self.waiting.front() {
+                    self.now = self.now.max(next.request.arrival_ms);
                 }
             }
-
-            // ---- injected device loss: drain at this step boundary ----
-            // Work whose commands started before the loss instant drains
-            // normally (a dispatched kernel cannot be aborted); everything
-            // still resident or queued here dies with the device's memory.
-            if let Some(lost_at_ms) = lost_at {
-                if now + 1e-9 >= lost_at_ms {
-                    lost = true;
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Host,
-                            &format!("fault device-loss {}", device.name),
-                            now,
-                        );
-                    }
-                    for mut entry in active.drain(..) {
-                        entry.error = Some(SimError::Fault {
-                            kind: FaultKind::DeviceLoss,
-                            at_ms: now,
-                        });
-                        let _ = entry.session.release(&mut tracker, now);
-                        let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(entry, &mut outcomes, &mut orphans, dev, now, peak);
-                    }
-                    while widx < waiting.len() {
-                        let (seq, request) = waiting[widx];
-                        widx += 1;
-                        let at = now.max(request.arrival_ms);
-                        let mut entry = admit(seq, request, at);
-                        entry.error = Some(SimError::Fault {
-                            kind: FaultKind::DeviceLoss,
-                            at_ms: at,
-                        });
-                        let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(entry, &mut outcomes, &mut orphans, dev, at, peak);
-                    }
-                    break;
-                }
+            if self.lost_at_ms.is_some_and(|t| self.now + 1e-9 >= t) {
+                return self.lose_device();
             }
-            let arrived = waiting[widx..]
+            let now = self.now;
+            let arrived = self
+                .waiting
                 .iter()
-                .take_while(|(_, r)| r.arrival_ms <= now + 1e-9)
+                .take_while(|w| w.request.arrival_ms <= now + 1e-9)
                 .count();
-            high_water = high_water.max(arrived);
-
-            // ---- join phase: the waiting → served heuristic ----
-            let join = arrived > 0
-                && (active.is_empty()
-                    || arrived as f64 >= self.batch.waiting_served_ratio * active.len() as f64);
-            if join {
-                while widx < waiting.len() && active.len() < self.batch.max_batch {
-                    let (seq, request) = waiting[widx];
-                    if request.arrival_ms > now + 1e-9 {
-                        break;
-                    }
-                    let params = request.decode.expect("validated in the prologue");
-                    let committed: u64 =
-                        active.iter().map(|a| a.session.max_context_tokens()).sum();
-                    if committed + params.max_context_tokens() > self.batch.token_budget {
-                        if !active.is_empty() {
-                            // Head-of-line request waits for leavers to free
-                            // budget.
-                            break;
-                        }
-                        // Nothing to wait for: this request alone exceeds
-                        // the budget and can never be served.
-                        widx += 1;
-                        outcomes.push(budget_failure_outcome(
-                            seq,
-                            request,
-                            dev,
-                            self.batch.token_budget,
-                        ));
-                        continue;
-                    }
-                    widx += 1;
-                    let abbr = request.model.abbr.clone();
-                    if let Err(error) = self.ensure_plans(&mut plans, engine, request, device) {
-                        let entry = admit(seq, request, now);
-                        outcomes.push(admission_failure(entry, error, now, &tracker));
-                        continue;
-                    }
-                    let model_plans = plans.get(&abbr).expect("just ensured");
-                    // Memoized prefill: the first request of a model replays
-                    // the full stream through the tracker (establishing the
-                    // transient peak); later ones reuse the cost.
-                    let cost = match prefill_costs.get(&abbr) {
-                        Some(&cost) => cost,
-                        None => {
-                            match replay_stream(&model_plans.prefill_stream, sim, &mut tracker, now)
-                            {
-                                Ok(cost) => {
-                                    prefill_costs.insert(abbr.clone(), cost);
-                                    cost
-                                }
-                                Err(error) => {
-                                    let entry = admit(seq, request, now);
-                                    outcomes.push(admission_failure(entry, error, now, &tracker));
-                                    continue;
-                                }
-                            }
-                        }
-                    };
-                    let start = now;
-                    let end = start + cost.makespan_ms;
-                    transfer_busy += cost.transfer_busy_ms;
-                    compute_busy += cost.compute_busy_ms;
-                    let mut entry = admit(seq, request, start);
-                    entry.session = DecodeSession::new(
-                        params.prompt_tokens,
-                        params.output_tokens,
-                        model_plans.kv_bytes_per_token,
-                    );
-                    if draws_faults {
-                        // The prefill pass itself may take an injected fault,
-                        // keyed by the resume position so a retry redraws.
-                        let attempt = entry.retries + entry.hops;
-                        if let Some(kind) = self.fault_plan.command_fault(
-                            device_index,
-                            seq,
-                            entry.resumed_tokens as usize,
-                            attempt,
-                        ) {
-                            entry.error = Some(SimError::Fault { kind, at_ms: end });
-                            if trace.enabled() {
-                                trace.instant(
-                                    TraceKind::Fault,
-                                    TraceLane::Request(seq),
-                                    &format!("fault {kind} {abbr} prefill"),
-                                    end,
-                                );
-                            }
-                            now = end;
-                            active.push(entry);
-                            continue;
-                        }
-                    }
-                    let label = format!("kv seq{seq} {abbr}");
-                    if let Err(error) = entry.session.finish_prefill(&mut tracker, &label, end) {
-                        let _ = entry.session.release(&mut tracker, end);
-                        outcomes.push(admission_failure(entry, error, end, &tracker));
-                        now = end;
-                        continue;
-                    }
-                    entry
-                        .transfer_intervals
-                        .push((start, start + cost.transfer_busy_ms));
-                    entry
-                        .compute_intervals
-                        .push((end - cost.compute_busy_ms, end));
-                    if trace.enabled() {
-                        trace.span_bytes(
-                            TraceKind::Prefill,
-                            TraceLane::Request(seq),
-                            &format!("prefill {abbr} ({} tok)", params.prompt_tokens),
-                            start,
-                            end,
-                            u64::from(params.prompt_tokens) * model_plans.kv_bytes_per_token,
-                        );
-                        trace.instant(
-                            TraceKind::BatchJoin,
-                            TraceLane::Request(seq),
-                            &format!("join {abbr}"),
-                            end,
-                        );
-                    }
-                    now = end;
-                    active.push(entry);
-                }
+            self.ledger.queue_high_water = self.ledger.queue_high_water.max(arrived);
+            // The waiting → served heuristic (module docs).
+            let active = self.active.len() as f64;
+            if arrived > 0
+                && (self.active.is_empty()
+                    || arrived as f64 >= self.engine.batch.waiting_served_ratio * active)
+            {
+                self.join()?;
             }
-
-            // ---- leave phase: retire sessions done at this boundary ----
             // Covers output_tokens == 1 requests, done at prefill.
-            retire_finished(
-                &mut active,
-                &mut outcomes,
-                &mut orphans,
-                &mut tracker,
-                &mut trace,
-                dev,
+            self.leave()?;
+            if !self.active.is_empty() {
+                self.step();
+                self.leave()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Injected device loss, at this step boundary. Work whose commands
+    /// started before the loss instant drained normally (a dispatched kernel
+    /// cannot be aborted); everything still in the batch or waiting here
+    /// dies with the device's memory.
+    fn lose_device(&mut self) -> SimResult<()> {
+        let now = self.now;
+        self.lost = true;
+        if self.trace.enabled() {
+            self.trace.instant(
+                TraceKind::Fault,
+                TraceLane::Host,
+                &format!("fault device-loss {}", self.dev.spec.name),
                 now,
-            )?;
-            if active.is_empty() {
+            );
+        }
+        for entry in std::mem::take(&mut self.active) {
+            self.retire(entry, Exit::Lost { at_ms: now })?;
+        }
+        for waiting in std::mem::take(&mut self.waiting) {
+            let at_ms = now.max(waiting.request.arrival_ms);
+            let entry = self.entry(&waiting, at_ms, 0);
+            self.retire(entry, Exit::Lost { at_ms })?;
+        }
+        Ok(())
+    }
+
+    /// Join arrived requests in arrival order while the batch has room.
+    /// Joins respect `max_batch` and the token budget: a head-of-line
+    /// request that does not fit next to the batch waits for leavers, and
+    /// one that could never fit fails.
+    fn join(&mut self) -> SimResult<()> {
+        let batch = self.engine.batch;
+        while self.active.len() < batch.max_batch {
+            let Some(&next) = self.waiting.front() else {
+                break;
+            };
+            if next.request.arrival_ms > self.now + 1e-9 {
+                break;
+            }
+            let params = next.request.decode.expect("validated in the prologue");
+            let committed: u64 = self
+                .active
+                .iter()
+                .map(|a| a.session.max_context_tokens())
+                .sum();
+            let fits = committed + params.max_context_tokens() <= batch.token_budget;
+            if !fits && !self.active.is_empty() {
+                break;
+            }
+            self.waiting.pop_front();
+            if fits {
+                self.prefill(&next)?;
                 continue;
             }
-
-            // ---- step phase: one batched decode step ----
-            // Per-model sub-batches, in abbreviation order for determinism;
-            // sub-batches replay back to back on the device's queues.
-            let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-            for (i, entry) in active.iter().enumerate() {
-                groups.entry(entry.abbr.clone()).or_default().push(i);
-            }
-            for (abbr, members) in groups {
-                let batch_size = members.len();
-                let key = (abbr.clone(), batch_size);
-                let cost = match step_costs.get(&key) {
-                    Some(&cost) => cost,
-                    None => {
-                        let plan = &plans.get(&abbr).expect("active implies compiled").step_plan;
-                        match plan.replay(sim, &mut tracker, batch_size, now) {
-                            Ok(cost) => {
-                                step_costs.insert(key, cost);
-                                cost
-                            }
-                            Err(error) => {
-                                // The whole sub-batch shares the failed step.
-                                for &i in &members {
-                                    active[i].error = Some(error.clone());
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                let end = now + cost.makespan_ms;
-                transfer_busy += cost.transfer_busy_ms;
-                compute_busy += cost.compute_busy_ms;
-                if trace.enabled() {
-                    trace.span_bytes(
-                        TraceKind::DecodeStep,
-                        TraceLane::ComputeQueue,
-                        &format!("step {abbr} ×{batch_size}"),
-                        now,
-                        end,
-                        batch_size as u64
-                            * plans
-                                .get(&abbr)
-                                .expect("active implies compiled")
-                                .kv_bytes_per_token,
-                    );
-                }
-                let share = 1.0 / batch_size as f64;
-                for &i in &members {
-                    let entry = &mut active[i];
-                    if draws_faults {
-                        // The step's kernel may take an injected fault for
-                        // this sequence, keyed by its global token position
-                        // so firing is schedule- and batch-independent.
-                        let attempt = entry.retries + entry.hops;
-                        let position =
-                            (entry.resumed_tokens + entry.session.emitted_tokens()) as usize;
-                        if let Some(kind) = self.fault_plan.command_fault(
-                            device_index,
-                            entry.seq,
-                            position,
-                            attempt,
-                        ) {
-                            entry.error = Some(SimError::Fault { kind, at_ms: end });
-                            if trace.enabled() {
-                                trace.instant(
-                                    TraceKind::Fault,
-                                    TraceLane::Request(entry.seq),
-                                    &format!("fault {kind} {}", entry.abbr),
-                                    end,
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                    let label = format!("kv seq{} {abbr}", entry.seq);
-                    if let Err(error) = entry.session.advance_step(&mut tracker, &label, end) {
-                        entry.error = Some(error);
-                        continue;
-                    }
-                    entry.max_batch_seen = entry.max_batch_seen.max(batch_size);
-                    entry
-                        .transfer_intervals
-                        .push((now, now + cost.transfer_busy_ms * share));
-                    entry
-                        .compute_intervals
-                        .push((end - cost.compute_busy_ms * share, end));
-                }
-                now = end;
-            }
-
-            retire_finished(
-                &mut active,
-                &mut outcomes,
-                &mut orphans,
-                &mut tracker,
-                &mut trace,
-                dev,
-                now,
-            )?;
+            let entry = self.entry(&next, next.request.arrival_ms, 0);
+            self.retire(entry, Exit::OverBudget)?;
         }
+        Ok(())
+    }
 
-        let completed = outcomes.iter().filter(|o| o.succeeded()).count();
-        let makespan = now;
-        let report = DeviceReport {
-            device: device.name.clone(),
-            requests: total,
-            completed,
-            makespan_ms: makespan,
-            transfer_busy_ms: transfer_busy,
-            compute_busy_ms: compute_busy,
-            transfer_busy_fraction: DeviceReport::busy_fraction(transfer_busy, makespan),
-            compute_busy_fraction: DeviceReport::busy_fraction(compute_busy, makespan),
-            peak_memory_mb: tracker.peak_bytes() as f64 / MIB,
-            queue_depth_high_water: high_water,
-            memory_trace: tracker.trace().clone(),
+    /// Prefill `waiting` alone on the device (a prefill owns the device, as
+    /// in production continuous-batching servers), moving `now` to its end,
+    /// and add it to the batch. The pass may take an injected fault, which
+    /// adds the entry already failed so it leaves at the boundary.
+    fn prefill(&mut self, waiting: &Waiting<'r>) -> SimResult<()> {
+        let (seq, request) = (waiting.seq, waiting.request);
+        let start = self.now;
+        let cost = match self.prefill_cost(request) {
+            Ok(cost) => cost,
+            Err(error) => {
+                let entry = self.entry(waiting, start, 0);
+                return self.retire(entry, Exit::Refused(error));
+            }
         };
-        Ok(DeviceRound {
-            outcomes,
-            report,
-            trace,
-            orphans,
-            lost,
-        })
+        let end = start + cost.makespan_ms;
+        self.ledger.transfer_busy_ms += cost.transfer_busy_ms;
+        self.ledger.compute_busy_ms += cost.compute_busy_ms;
+        self.now = end;
+        let abbr = &request.model.abbr;
+        let kv_bytes_per_token = self.plans[abbr].kv_bytes_per_token;
+        let mut entry = self.entry(waiting, start, kv_bytes_per_token);
+        if let Some(kind) = self.injected_fault(&entry) {
+            entry.fault(&mut self.trace, kind, end, " prefill");
+            self.active.push(entry);
+            return Ok(());
+        }
+        let label = format!("kv seq{seq} {abbr}");
+        if let Err(error) = entry.session.finish_prefill(&mut self.tracker, &label, end) {
+            return self.retire(entry, Exit::Refused(error));
+        }
+        entry
+            .transfer_intervals
+            .push((start, start + cost.transfer_busy_ms));
+        entry
+            .compute_intervals
+            .push((end - cost.compute_busy_ms, end));
+        if self.trace.enabled() {
+            let prompt = entry.session.prompt_tokens();
+            self.trace.span_bytes(
+                TraceKind::Prefill,
+                TraceLane::Request(seq),
+                &format!("prefill {abbr} ({prompt} tok)"),
+                start,
+                end,
+                u64::from(prompt) * kv_bytes_per_token,
+            );
+            self.trace.instant(
+                TraceKind::BatchJoin,
+                TraceLane::Request(seq),
+                &format!("join {abbr}"),
+                end,
+            );
+        }
+        self.active.push(entry);
+        Ok(())
+    }
+
+    /// The cost of `request`'s prefill pass. The first request of a model
+    /// replays the full stream through the tracker (establishing the
+    /// transient peak); later ones reuse the cost.
+    fn prefill_cost(&mut self, request: &ServeRequest) -> SimResult<StepCost> {
+        self.ensure_plans(request)?;
+        let plans = self
+            .plans
+            .get_mut(&request.model.abbr)
+            .expect("just ensured");
+        if let Some(cost) = plans.prefill_cost {
+            return Ok(cost);
+        }
+        let stream = &plans.prefill_stream;
+        let cost = replay_stream(stream, &self.dev.sim, &mut self.tracker, self.now)?;
+        plans.prefill_cost = Some(cost);
+        Ok(cost)
     }
 
     /// Compile (through the shared cache) and lower the prefill and step
     /// streams of `request`'s model, if this device has not seen it yet.
-    fn ensure_plans(
-        &self,
-        plans: &mut HashMap<String, ModelPlans>,
-        engine: &FlashMem,
-        request: &ServeRequest,
-        device: &DeviceSpec,
-    ) -> SimResult<()> {
+    fn ensure_plans(&mut self, request: &ServeRequest) -> SimResult<()> {
         let abbr = &request.model.abbr;
-        if plans.contains_key(abbr) {
+        if self.plans.contains_key(abbr) {
             return Ok(());
         }
+        let (cache, config, dev) = (&self.engine.cache, &self.engine.config, self.dev);
         let spec = request.model.decode().expect("validated in the prologue");
-        let (full, _) = self.cache.compile(engine, &request.model, device)?;
-        let prefill_stream = lower_artifact(&full, &request.model, device, &self.config);
-        let (step, _) = self.cache.compile(engine, &spec.step, device)?;
-        let step_stream = lower_artifact(&step, &spec.step, device, &self.config);
-        plans.insert(
+        let (full, _) = cache.compile(&dev.engine, &request.model, dev.spec)?;
+        let prefill_stream = lower_artifact(&full, &request.model, dev.spec, config);
+        let (step, _) = cache.compile(&dev.engine, &spec.step, dev.spec)?;
+        let step_stream = lower_artifact(&step, &spec.step, dev.spec, config);
+        self.plans.insert(
             abbr.clone(),
             ModelPlans {
                 prefill_stream,
                 step_plan: DecodeStepPlan::new(step_stream)?,
                 kv_bytes_per_token: spec.kv_bytes_per_token,
+                prefill_cost: None,
+                step_costs: HashMap::new(),
             },
         );
         Ok(())
     }
 
-    /// A fresh [`ActiveDecode`] entry for an admitted request (the session
-    /// is replaced by the caller once the model's KV stride is known).
-    fn admit_entry(
+    /// A batch entry for `waiting`, started at `start_ms`, whose KV grows by
+    /// `kv_bytes_per_token` per context token.
+    fn entry(
         &self,
-        seq: usize,
-        request: &ServeRequest,
-        warm: &HashSet<u64>,
-        engine: &FlashMem,
-        device: &DeviceSpec,
+        waiting: &Waiting<'r>,
         start_ms: f64,
-    ) -> ActiveDecode {
+        kv_bytes_per_token: u64,
+    ) -> ActiveDecode<'r> {
+        let request = waiting.request;
         let params = request.decode.expect("validated in the prologue");
+        let key = ArtifactCache::key_for(&self.dev.engine, &request.model, self.dev.spec);
         ActiveDecode {
-            seq,
-            abbr: request.model.abbr.clone(),
-            tenant: request.tenant.clone(),
-            priority: request.priority,
-            arrival_ms: request.arrival_ms,
-            deadline_ms: request.deadline_ms,
+            seq: waiting.seq,
+            request,
             start_ms,
-            cache_hit: warm.contains(&ArtifactCache::key_for(engine, &request.model, device)),
-            session: DecodeSession::new(params.prompt_tokens, params.output_tokens, 0),
+            cache_hit: self.warm.contains(&key),
+            session: DecodeSession::new(
+                params.prompt_tokens,
+                params.output_tokens,
+                kv_bytes_per_token,
+            ),
             max_batch_seen: 1,
             transfer_intervals: Vec::new(),
             compute_intervals: Vec::new(),
             error: None,
-            resumed_tokens: 0,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
+            carry: waiting.carry,
         }
     }
-}
 
-/// Remove finished (or failed) sessions from the batch at boundary `now`,
-/// releasing their KV residency and emitting their outcome rows;
-/// fault-killed entries go to `orphans` for the re-dispatch planner instead
-/// of committing a final outcome.
-fn retire_finished(
-    active: &mut Vec<ActiveDecode>,
-    outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<Orphan<DecodeResume>>,
-    tracker: &mut MemoryTracker,
-    trace: &mut TraceRecorder,
-    device: &Device<'_>,
-    now: f64,
-) -> SimResult<()> {
-    let mut i = 0;
-    while i < active.len() {
-        if active[i].session.is_done() || active[i].error.is_some() {
-            let mut entry = active.remove(i);
-            entry.session.release(tracker, now)?;
-            if trace.enabled() {
-                trace.instant(
-                    TraceKind::BatchLeave,
-                    TraceLane::Request(entry.seq),
-                    &format!(
-                        "leave {} ({} tok)",
-                        entry.abbr,
-                        entry.session.emitted_tokens()
-                    ),
-                    now,
-                );
+    /// The fault plan's draw for `entry`'s next pass, keyed by its global
+    /// token position so firing is schedule- and batch-independent and a
+    /// retry redraws.
+    fn injected_fault(&self, entry: &ActiveDecode<'_>) -> Option<FaultKind> {
+        if !self.draws_faults {
+            return None;
+        }
+        let carry = entry.carry;
+        let position = carry.resumed_tokens + entry.session.emitted_tokens();
+        self.engine.fault_plan.command_fault(
+            self.dev.index,
+            entry.seq,
+            position as usize,
+            carry.retries + carry.hops,
+        )
+    }
+
+    /// One batched decode step: the batch splits into per-model
+    /// sub-batches, in abbreviation order for determinism, that replay back
+    /// to back on the device's queues.
+    fn step(&mut self) {
+        let mut groups: BTreeMap<&'r str, Vec<usize>> = BTreeMap::new();
+        for (i, entry) in self.active.iter().enumerate() {
+            let request: &'r ServeRequest = entry.request;
+            groups.entry(&request.model.abbr).or_default().push(i);
+        }
+        for (abbr, members) in groups {
+            self.step_group(abbr, &members);
+        }
+    }
+
+    /// Step the sub-batch of `abbr`'s requests (`members` index the batch)
+    /// from `now`, moving `now` to the step's end. Every member's KV grows
+    /// by one token and emits one token there. A failed replay fails the
+    /// whole sub-batch; a member may also take an injected fault.
+    fn step_group(&mut self, abbr: &str, members: &[usize]) {
+        let batch_size = members.len();
+        let plans = self.plans.get_mut(abbr).expect("active implies compiled");
+        let cost = match plans.step_costs.get(&batch_size) {
+            Some(&cost) => cost,
+            None => {
+                let plan = &plans.step_plan;
+                match plan.replay(&self.dev.sim, &mut self.tracker, batch_size, self.now) {
+                    Ok(cost) => *plans.step_costs.entry(batch_size).or_insert(cost),
+                    Err(error) => {
+                        for &i in members {
+                            self.active[i].error = Some(error.clone());
+                        }
+                        return;
+                    }
+                }
             }
-            let peak = tracker.peak_bytes() as f64 / MIB;
-            push_entry(entry, outcomes, orphans, device, now, peak);
-        } else {
-            i += 1;
+        };
+        let kv_bytes_per_token = plans.kv_bytes_per_token;
+        let (start, end) = (self.now, self.now + cost.makespan_ms);
+        self.ledger.transfer_busy_ms += cost.transfer_busy_ms;
+        self.ledger.compute_busy_ms += cost.compute_busy_ms;
+        if self.trace.enabled() {
+            self.trace.span_bytes(
+                TraceKind::DecodeStep,
+                TraceLane::ComputeQueue,
+                &format!("step {abbr} ×{batch_size}"),
+                start,
+                end,
+                batch_size as u64 * kv_bytes_per_token,
+            );
         }
+        let share = 1.0 / batch_size as f64;
+        for &i in members {
+            let fault = self.injected_fault(&self.active[i]);
+            let entry = &mut self.active[i];
+            if let Some(kind) = fault {
+                entry.fault(&mut self.trace, kind, end, "");
+                continue;
+            }
+            let label = format!("kv seq{} {abbr}", entry.seq);
+            if let Err(error) = entry.session.advance_step(&mut self.tracker, &label, end) {
+                entry.error = Some(error);
+                continue;
+            }
+            entry.max_batch_seen = entry.max_batch_seen.max(batch_size);
+            entry
+                .transfer_intervals
+                .push((start, start + cost.transfer_busy_ms * share));
+            entry
+                .compute_intervals
+                .push((end - cost.compute_busy_ms * share, end));
+        }
+        self.now = end;
     }
-    Ok(())
-}
 
-/// The outcome row of a request whose maximum context alone exceeds the
-/// engine's token budget: it can never join any batch, so it fails at its
-/// arrival instant.
-fn budget_failure_outcome(
-    seq: usize,
-    request: &ServeRequest,
-    device: &Device<'_>,
-    token_budget: u64,
-) -> RequestOutcome {
-    let params = request.decode.expect("validated in the prologue");
-    let error = SimError::InvalidParameter {
-        message: format!(
-            "request needs {} context tokens but the engine's token budget is {}",
-            params.max_context_tokens(),
-            token_budget
-        ),
-    };
-    let at_ms = request.arrival_ms;
-    RequestOutcome::unstarted(seq, request, device, at_ms, at_ms, Some(error))
-}
+    /// Retire, in batch order, every entry that is done or failed at this
+    /// boundary.
+    fn leave(&mut self) -> SimResult<()> {
+        let leaving: Vec<ActiveDecode<'r>> = self
+            .active
+            .extract_if(.., |e| e.session.is_done() || e.error.is_some())
+            .collect();
+        for entry in leaving {
+            self.retire(entry, Exit::Leave)?;
+        }
+        Ok(())
+    }
 
+    /// Take `entry` off the device — the one way every request leaves it.
+    /// It releases the entry's KV (a lost device's too), traces the batch
+    /// leave of an entry that was in the batch, and routes the outcome to
+    /// the final outcomes or, for an injected fault, to the recovery
+    /// planner.
+    fn retire(&mut self, mut entry: ActiveDecode<'r>, exit: Exit) -> SimResult<()> {
+        let at_ms = match exit {
+            Exit::Leave | Exit::Refused(_) => self.now,
+            Exit::OverBudget => entry.start_ms,
+            Exit::Lost { at_ms } => at_ms,
+        };
+        entry.session.release(&mut self.tracker, at_ms)?;
+        let mut peak_memory_mb = self.tracker.peak_bytes() as f64 / MIB;
+        match exit {
+            Exit::Leave => {
+                if self.trace.enabled() {
+                    let tokens = entry.session.emitted_tokens();
+                    self.trace.instant(
+                        TraceKind::BatchLeave,
+                        TraceLane::Request(entry.seq),
+                        &format!("leave {} ({tokens} tok)", entry.request.model.abbr),
+                        at_ms,
+                    );
+                }
+            }
+            Exit::Refused(error) => entry.error = Some(error),
+            Exit::OverBudget => {
+                let context = entry.request.decode.expect("validated in the prologue");
+                let budget = self.engine.batch.token_budget;
+                entry.error = Some(SimError::InvalidParameter {
+                    message: format!(
+                        "request needs {} context tokens but the engine's token budget is \
+                         {budget}",
+                        context.max_context_tokens()
+                    ),
+                });
+                // It never reached the device.
+                entry.cache_hit = false;
+                peak_memory_mb = 0.0;
+            }
+            Exit::Lost { at_ms } => {
+                entry.error = Some(SimError::Fault {
+                    kind: FaultKind::DeviceLoss,
+                    at_ms,
+                });
+            }
+        }
+        let carry = entry.carry;
+        let resume = carry.resumed_tokens + entry.session.emitted_tokens();
+        let outcome = entry.into_outcome(self.dev, at_ms, peak_memory_mb);
+        self.ledger
+            .route(outcome, carry.retries, carry.hops, resume);
+        Ok(())
+    }
+
+    /// The round's result for the fleet driver. Every request left through
+    /// [`retire`](Self::retire), which releases its KV, so the batch is
+    /// empty and the device holds no memory.
+    fn finish(mut self, requests: usize) -> DeviceRound<DecodeResume> {
+        assert!(
+            self.active.is_empty(),
+            "{}: decode run ended with requests still in the batch",
+            self.dev.spec.name
+        );
+        self.ledger.makespan_ms = self.now;
+        let memory_trace = self.tracker.trace().clone();
+        self.ledger.close(
+            self.dev,
+            requests,
+            &self.tracker,
+            memory_trace,
+            self.trace,
+            self.lost,
+        )
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,8 @@ use flashmem_core::telemetry::{FleetTrace, TraceConfig, TraceKind, TraceLane, Tr
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::engine::{GpuSimulator, SimConfig};
 use flashmem_gpu_sim::error::SimResult;
+use flashmem_gpu_sim::memory::MemoryTracker;
+use flashmem_gpu_sim::trace::MemoryTrace;
 use flashmem_gpu_sim::{DeviceSpec, FaultKind, SimError};
 use flashmem_graph::ModelSpec;
 
@@ -32,6 +34,8 @@ use crate::metrics::{
 };
 use crate::policy::RecoveryControl;
 use crate::request::ServeRequest;
+
+pub(crate) const MIB: f64 = 1024.0 * 1024.0;
 
 /// One device of the fleet: its runtime and simulator are built once per
 /// run and lent to every round's device job.
@@ -89,6 +93,81 @@ pub(crate) struct DeviceRound<R> {
     /// The fault plan's device loss fired this round: the device is gone
     /// for every later round.
     pub(crate) lost: bool,
+}
+
+/// What a device run accumulates over its round, whichever engine drives
+/// it: the requests that have left the device, and the usage its
+/// [`DeviceReport`] reads.
+#[derive(Default)]
+pub(crate) struct DeviceLedger<R> {
+    pub(crate) outcomes: Vec<RequestOutcome>,
+    pub(crate) orphans: Vec<Orphan<R>>,
+    pub(crate) transfer_busy_ms: f64,
+    pub(crate) compute_busy_ms: f64,
+    pub(crate) makespan_ms: f64,
+    pub(crate) queue_high_water: usize,
+}
+
+impl<R> DeviceLedger<R> {
+    /// File the outcome of a request that left the device: an attempt an
+    /// injected fault knocked out goes to the recovery planner, with the
+    /// recovery counters it brought into this round and what a re-dispatch
+    /// resumes from; anything else is final.
+    pub(crate) fn route(&mut self, outcome: RequestOutcome, retries: u32, hops: u32, resume: R) {
+        let Some(SimError::Fault { kind, .. }) = outcome.error else {
+            self.outcomes.push(outcome);
+            return;
+        };
+        self.orphans.push(Orphan {
+            outcome,
+            kind,
+            retries,
+            hops,
+            resume,
+        });
+    }
+
+    /// The round's result for the fleet driver. Every way off a device
+    /// hands back the memory its request held, so a finished run holds
+    /// none: this asserts that `tracker` is empty. The report reads the
+    /// device's peak from `memory_trace`, its timeline.
+    pub(crate) fn close(
+        self,
+        dev: &Device<'_>,
+        requests: usize,
+        tracker: &MemoryTracker,
+        memory_trace: MemoryTrace,
+        trace: TraceRecorder,
+        lost: bool,
+    ) -> DeviceRound<R> {
+        let name = &dev.spec.name;
+        assert_eq!(
+            tracker.total_in_use(),
+            0,
+            "{name}: device run ended with memory still allocated"
+        );
+        let makespan = self.makespan_ms;
+        let report = DeviceReport {
+            device: name.clone(),
+            requests,
+            completed: self.outcomes.iter().filter(|o| o.succeeded()).count(),
+            makespan_ms: makespan,
+            transfer_busy_ms: self.transfer_busy_ms,
+            compute_busy_ms: self.compute_busy_ms,
+            transfer_busy_fraction: DeviceReport::busy_fraction(self.transfer_busy_ms, makespan),
+            compute_busy_fraction: DeviceReport::busy_fraction(self.compute_busy_ms, makespan),
+            peak_memory_mb: memory_trace.peak_bytes() as f64 / MIB,
+            queue_depth_high_water: self.queue_high_water,
+            memory_trace,
+        };
+        DeviceRound {
+            outcomes: self.outcomes,
+            report,
+            trace,
+            orphans: self.orphans,
+            lost,
+        }
+    }
 }
 
 /// Per-device health as tracked by the sequential planner.
@@ -474,6 +553,17 @@ impl<'a> Fleet<'a> {
         report.assert_disposition();
         report
     }
+}
+
+/// Sort `items` into the order a device sees requests in: by arrival, ties
+/// by submission `seq`. `key` gives an item's `(arrival_ms, seq)`.
+pub(crate) fn sort_by_arrival<T>(items: &mut [T], key: impl Fn(&T) -> (f64, usize)) {
+    items.sort_by(|a, b| {
+        let ((a_ms, a_seq), (b_ms, b_seq)) = (key(a), key(b));
+        a_ms.partial_cmp(&b_ms)
+            .expect("arrival times are finite")
+            .then(a_seq.cmp(&b_seq))
+    });
 }
 
 /// Render a caught panic payload for [`SimError::WorkerPanic`].

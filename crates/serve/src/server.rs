@@ -121,15 +121,16 @@ use flashmem_gpu_sim::{DeviceSpec, FaultKind, FaultPlan, SimError};
 use flashmem_graph::ModelSpec;
 use flashmem_profiler::LoweringOptions;
 
-use crate::fleet::{Attempt, Device, DeviceLoop, DeviceRound, Fleet, Health, Orphan};
-use crate::metrics::{DeviceReport, RequestOutcome, ServeReport};
+use crate::fleet::{
+    sort_by_arrival, Attempt, Device, DeviceLedger, DeviceLoop, DeviceRound, Fleet, Health, Orphan,
+    MIB,
+};
+use crate::metrics::{RequestOutcome, ServeReport};
 use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
 };
 use crate::request::{FailureCause, RejectCause, ServeRequest};
-
-const MIB: f64 = 1024.0 * 1024.0;
 
 /// Lower a compiled artifact to the command stream the event loop steps.
 ///
@@ -874,13 +875,7 @@ impl ServeEngine {
             let mut order: Vec<usize> = (0..requests.len())
                 .filter(|seq| !rejected.contains(seq))
                 .collect();
-            order.sort_by(|&a, &b| {
-                requests[a]
-                    .arrival_ms
-                    .partial_cmp(&requests[b].arrival_ms)
-                    .expect("arrival times are finite")
-                    .then(a.cmp(&b))
-            });
+            sort_by_arrival(&mut order, |&seq| (requests[seq].arrival_ms, seq));
             for seq in order {
                 let request = &requests[seq];
                 let home = placement[seq];
@@ -962,9 +957,9 @@ struct ServeDeviceRun<'r> {
     /// Requests not yet admitted, sorted by `(arrival_ms, seq)`.
     pending: Vec<Waiting<'r>>,
     /// Bounded-queue bookkeeping: the pending requests the loop has observed
-    /// arriving (and not shed) — the live queue — and its high-water mark.
+    /// arriving (and not shed) — the live queue; its high-water mark is on
+    /// the ledger.
     enqueued: HashSet<usize>,
-    queue_high_water: usize,
     in_flight: Vec<InFlight>,
     suspended: Vec<Suspended>,
     /// Admission counter: the step phase's tie-break between equal starts.
@@ -980,11 +975,7 @@ struct ServeDeviceRun<'r> {
     /// Resident-byte estimates computed by the preemption phase's
     /// feasibility checks, memoized per request seq.
     estimate_memo: HashMap<usize, u64>,
-    outcomes: Vec<RequestOutcome>,
-    orphans: Vec<Orphan<ServeResume>>,
-    transfer_busy: f64,
-    compute_busy: f64,
-    makespan: f64,
+    ledger: DeviceLedger<ServeResume>,
 }
 
 impl<'r> ServeDeviceRun<'r> {
@@ -1018,13 +1009,7 @@ impl<'r> ServeDeviceRun<'r> {
                 }
             })
             .collect();
-        pending.sort_by(|a, b| {
-            a.request
-                .arrival_ms
-                .partial_cmp(&b.request.arrival_ms)
-                .expect("arrival times are finite")
-                .then(a.seq.cmp(&b.seq))
-        });
+        sort_by_arrival(&mut pending, |w| (w.request.arrival_ms, w.seq));
         let mut run = ServeDeviceRun {
             engine,
             dev,
@@ -1047,18 +1032,13 @@ impl<'r> ServeDeviceRun<'r> {
             stitched: MemoryTrace::new(),
             pending,
             enqueued: HashSet::new(),
-            queue_high_water: 0,
             in_flight: Vec::new(),
             suspended: Vec::new(),
             admit_order: 0,
             tenant_bytes: HashMap::new(),
             lowered: HashMap::new(),
             estimate_memo: HashMap::new(),
-            outcomes: Vec::new(),
-            orphans: Vec::new(),
-            transfer_busy: 0.0,
-            compute_busy: 0.0,
-            makespan: 0.0,
+            ledger: DeviceLedger::default(),
         };
         if engine.policy.uses_estimates() {
             run.predict_service();
@@ -1212,7 +1192,7 @@ impl<'r> ServeDeviceRun<'r> {
                 continue;
             }
             self.enqueued.insert(seq);
-            self.queue_high_water = self.queue_high_water.max(self.enqueued.len());
+            self.ledger.queue_high_water = self.ledger.queue_high_water.max(self.enqueued.len());
             i += 1;
         }
     }
@@ -1477,7 +1457,7 @@ impl<'r> ServeDeviceRun<'r> {
             }
             let suspended = self.suspended.remove(pos);
             let requested = suspended.suspension.evicted_bytes();
-            self.makespan = self.makespan.max(now);
+            self.ledger.makespan_ms = self.ledger.makespan_ms.max(now);
             let meta = &suspended.meta;
             decrement(&mut self.tenant_bytes, &meta.tenant, meta.estimate_bytes);
             let (meta, _) = self.end_suspension(suspended, now);
@@ -1688,12 +1668,14 @@ impl<'r> ServeDeviceRun<'r> {
             Ok(Some(event)) => {
                 let meta = &mut flight.meta;
                 let queue = match event.queue {
-                    QueueKind::Transfer => {
-                        Some((&mut self.transfer_busy, &mut meta.transfer_intervals))
-                    }
-                    QueueKind::Compute => {
-                        Some((&mut self.compute_busy, &mut meta.compute_intervals))
-                    }
+                    QueueKind::Transfer => Some((
+                        &mut self.ledger.transfer_busy_ms,
+                        &mut meta.transfer_intervals,
+                    )),
+                    QueueKind::Compute => Some((
+                        &mut self.ledger.compute_busy_ms,
+                        &mut meta.compute_intervals,
+                    )),
                     QueueKind::Host => None,
                 };
                 if let Some((busy, intervals)) = queue {
@@ -1735,7 +1717,7 @@ impl<'r> ServeDeviceRun<'r> {
     /// handed to the recovery planner as orphans, and the timeline stops.
     fn lose_device(&mut self, loss_ms: f64) -> SimResult<()> {
         self.lost = true;
-        self.makespan = self.makespan.max(loss_ms);
+        self.ledger.makespan_ms = self.ledger.makespan_ms.max(loss_ms);
         if self.trace.enabled() {
             self.trace.instant(
                 TraceKind::Fault,
@@ -1860,7 +1842,7 @@ impl<'r> ServeDeviceRun<'r> {
             }
         }
         decrement(&mut self.tenant_bytes, &meta.tenant, meta.estimate_bytes);
-        self.makespan = self.makespan.max(completion);
+        self.ledger.makespan_ms = self.ledger.makespan_ms.max(completion);
         let outcome = meta.into_outcome(self.dev, completion, peak_memory_mb, error, report);
         self.settle(outcome, run_start, None);
         Ok(())
@@ -1918,7 +1900,7 @@ impl<'r> ServeDeviceRun<'r> {
         stolen_from: Option<usize>,
     ) {
         let at_ms = request.arrival_ms;
-        self.outcomes.push(RequestOutcome {
+        self.ledger.outcomes.push(RequestOutcome {
             deadline_ms: self.engine.effective_deadline(request),
             admission_laxity_ms,
             rejected: Some(cause),
@@ -1943,38 +1925,22 @@ impl<'r> ServeDeviceRun<'r> {
         self.route(outcome, resume);
     }
 
-    /// File an outcome: an attempt an injected fault knocked out goes to the
-    /// recovery planner, with the recovery counters it brought into this
-    /// round and what a re-dispatch resumes from; anything else is final.
+    /// File an outcome through the ledger, with the recovery counters the
+    /// attempt brought into this round.
     fn route(&mut self, outcome: RequestOutcome, resume: ServeResume) {
-        let Some(SimError::Fault { kind, .. }) = outcome.error else {
-            self.outcomes.push(outcome);
-            return;
-        };
         let carry = self.carries.get(&outcome.seq);
-        self.orphans.push(Orphan {
-            kind,
-            retries: carry.map_or(0, |c| c.retries),
-            hops: carry.map_or(0, |c| c.hops),
-            outcome,
-            resume,
-        });
+        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
+        self.ledger.route(outcome, retries, hops, resume);
     }
 
     /// The round's result for the fleet driver. Every exit path hands back
     /// what it held, so a drained device holds no memory and — unless it was
     /// lost mid-run — no tenant reservation.
     fn finish(self, requests: usize) -> DeviceRound<ServeResume> {
-        let dev = self.dev;
-        let name = &dev.spec.name;
-        assert_eq!(
-            self.tracker.total_in_use(),
-            0,
-            "{name}: device run ended with memory still allocated"
-        );
         assert!(
             self.lost || self.tenant_bytes.values().all(|&bytes| bytes == 0),
-            "{name}: device run ended with tenant reservations held: {:?}",
+            "{}: device run ended with tenant reservations held: {:?}",
+            self.dev.spec.name,
             self.tenant_bytes
         );
         let memory_trace = if self.exclusive {
@@ -1982,27 +1948,9 @@ impl<'r> ServeDeviceRun<'r> {
         } else {
             self.tracker.trace().clone()
         };
-        let makespan = self.makespan;
-        let report = DeviceReport {
-            device: name.clone(),
-            requests,
-            completed: self.outcomes.iter().filter(|o| o.succeeded()).count(),
-            makespan_ms: makespan,
-            transfer_busy_ms: self.transfer_busy,
-            compute_busy_ms: self.compute_busy,
-            transfer_busy_fraction: DeviceReport::busy_fraction(self.transfer_busy, makespan),
-            compute_busy_fraction: DeviceReport::busy_fraction(self.compute_busy, makespan),
-            peak_memory_mb: memory_trace.peak_bytes() as f64 / MIB,
-            queue_depth_high_water: self.queue_high_water,
-            memory_trace,
-        };
-        DeviceRound {
-            outcomes: self.outcomes,
-            report,
-            trace: self.trace,
-            orphans: self.orphans,
-            lost: self.lost,
-        }
+        let (dev, tracker) = (self.dev, &self.tracker);
+        self.ledger
+            .close(dev, requests, tracker, memory_trace, self.trace, self.lost)
     }
 }
 
