@@ -268,7 +268,8 @@ enum Exit {
     /// Its maximum context alone exceeds the token budget, so it can never
     /// join a batch: it fails unstarted at its arrival.
     OverBudget,
-    /// The device was lost; the request's work there ends at `at_ms`.
+    /// The device was lost; the request's work there ends at `at_ms`, no
+    /// earlier than the loss.
     Lost { at_ms: f64 },
 }
 
@@ -603,13 +604,15 @@ impl<'r> DecodeDeviceRun<'r> {
 
     fn run(&mut self) -> SimResult<()> {
         while !self.waiting.is_empty() || !self.active.is_empty() {
-            // An idle device jumps to the next arrival.
+            // An idle device jumps to the next arrival, or to its loss.
             if self.active.is_empty() {
                 if let Some(next) = self.waiting.front() {
-                    self.now = self.now.max(next.request.arrival_ms);
+                    let arrival = next.request.arrival_ms;
+                    let until = self.lost_at_ms.map_or(arrival, |t| t.min(arrival));
+                    self.now = self.now.max(until);
                 }
             }
-            if self.lost_at_ms.is_some_and(|t| self.now + 1e-9 >= t) {
+            if self.loss_due() {
                 return self.lose_device();
             }
             let now = self.now;
@@ -637,26 +640,33 @@ impl<'r> DecodeDeviceRun<'r> {
         Ok(())
     }
 
-    /// Injected device loss, at this step boundary. Work whose commands
-    /// started before the loss instant drained normally (a dispatched kernel
-    /// cannot be aborted); everything still in the batch or waiting here
-    /// dies with the device's memory.
+    /// Whether the fault plan's device loss has happened by `now`: from
+    /// then on no prefill and no sub-batch step may start.
+    fn loss_due(&self) -> bool {
+        self.lost_at_ms.is_some_and(|t| self.now + 1e-9 >= t)
+    }
+
+    /// The device is lost: work that started before the loss instant has
+    /// drained (a dispatched kernel cannot be aborted), so the batch dies at
+    /// `max(loss, now)` and every waiting request at `max(loss, arrival)`,
+    /// with the device's memory.
     fn lose_device(&mut self) -> SimResult<()> {
-        let now = self.now;
+        let lost_at = self.lost_at_ms.expect("the loss is due");
+        self.now = self.now.max(lost_at);
         self.lost = true;
         if self.trace.enabled() {
             self.trace.instant(
                 TraceKind::Fault,
                 TraceLane::Host,
                 &format!("fault device-loss {}", self.dev.spec.name),
-                now,
+                lost_at,
             );
         }
         for entry in std::mem::take(&mut self.active) {
-            self.retire(entry, Exit::Lost { at_ms: now })?;
+            self.retire(entry, Exit::Lost { at_ms: self.now })?;
         }
         for waiting in std::mem::take(&mut self.waiting) {
-            let at_ms = now.max(waiting.request.arrival_ms);
+            let at_ms = lost_at.max(waiting.request.arrival_ms);
             let entry = self.entry(&waiting, at_ms, 0);
             self.retire(entry, Exit::Lost { at_ms })?;
         }
@@ -669,7 +679,7 @@ impl<'r> DecodeDeviceRun<'r> {
     /// one that could never fit fails.
     fn join(&mut self) -> SimResult<()> {
         let batch = self.engine.batch;
-        while self.active.len() < batch.max_batch {
+        while self.active.len() < batch.max_batch && !self.loss_due() {
             let Some(&next) = self.waiting.front() else {
                 break;
             };
@@ -854,6 +864,9 @@ impl<'r> DecodeDeviceRun<'r> {
             groups.entry(&request.model.abbr).or_default().push(i);
         }
         for (abbr, members) in groups {
+            if self.loss_due() {
+                break;
+            }
             self.step_group(abbr, &members);
         }
     }
@@ -971,10 +984,10 @@ impl<'r> DecodeDeviceRun<'r> {
                 entry.cache_hit = false;
                 peak_memory_mb = 0.0;
             }
-            Exit::Lost { at_ms } => {
+            Exit::Lost { .. } => {
                 entry.error = Some(SimError::Fault {
                     kind: FaultKind::DeviceLoss,
-                    at_ms,
+                    at_ms: self.lost_at_ms.expect("only a lost device loses work"),
                 });
             }
         }
@@ -1149,6 +1162,44 @@ mod tests {
             .unwrap()
             .to_string()
             .contains("token budget"));
+    }
+
+    #[test]
+    fn device_loss_stops_new_work_at_the_loss_instant() {
+        let report = DecodeEngine::new(
+            vec![DeviceSpec::oneplus_12(), DeviceSpec::oneplus_12()],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_fault_plan(FaultPlan::seeded(7).with_device_loss(0, 50.0))
+        .with_trace(TraceConfig::enabled())
+        .run_on(&ThreadPool::with_threads(1), &burst(16, 16, 8))
+        .unwrap();
+        let events = &report
+            .trace
+            .as_ref()
+            .expect("tracing was enabled")
+            .processes[0]
+            .events;
+        let late: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Prefill | TraceKind::DecodeStep))
+            .filter(|e| e.start_ms >= 50.0)
+            .collect();
+        assert!(late.is_empty(), "work started on a lost device: {late:?}");
+        assert!(events
+            .iter()
+            .any(|e| e.kind == TraceKind::Fault && e.start_ms == 50.0));
+        // Device 0's eight requests die with it; the prefill already running
+        // at the loss drains first, the waiting ones fail at the loss.
+        let lost: Vec<_> = report
+            .outcomes
+            .iter()
+            .filter(|o| o.failure == Some(FailureCause::DeviceLost))
+            .collect();
+        assert_eq!(lost.len(), 8);
+        assert!(lost.iter().all(|o| o.completion_ms >= 50.0));
+        assert!(lost.iter().any(|o| o.completion_ms == 50.0));
+        assert_eq!(report.completed(), 8);
     }
 
     #[test]

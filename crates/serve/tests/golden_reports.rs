@@ -330,7 +330,7 @@ fn decode_continuous_report_is_pinned() {
 #[test]
 fn decode_chaos_report_is_pinned() {
     let requests = decode_workload(0x601D_0007);
-    let report = check("decode chaos", 0x2ad2_ca68_6980_79d0, |pool| {
+    let report = check("decode chaos", 0x554c_d31c_e663_dc7e, |pool| {
         DecodeEngine::new(
             vec![DeviceSpec::oneplus_12(), DeviceSpec::oneplus_12()],
             FlashMemConfig::memory_priority(),
