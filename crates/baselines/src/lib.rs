@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::too_many_lines)]
 
 pub mod naive_overlap;
 pub mod preload;

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::too_many_lines)]
 
 pub mod capacity;
 pub mod classify;

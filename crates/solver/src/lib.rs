@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::too_many_lines)]
 
 mod bound;
 pub mod model;

@@ -28,6 +28,7 @@
 //! latency to queue / compile / transfer / compute / suspended phases.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 use std::collections::VecDeque;
 
