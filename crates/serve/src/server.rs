@@ -957,8 +957,7 @@ struct ServeDeviceRun<'r> {
     /// Requests not yet admitted, sorted by `(arrival_ms, seq)`.
     pending: Vec<Waiting<'r>>,
     /// Bounded-queue bookkeeping: the pending requests the loop has observed
-    /// arriving (and not shed) — the live queue; its high-water mark is on
-    /// the ledger.
+    /// arriving (and not shed): the live queue.
     enqueued: HashSet<usize>,
     in_flight: Vec<InFlight>,
     suspended: Vec<Suspended>,
